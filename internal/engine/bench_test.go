@@ -21,14 +21,23 @@ type benchState struct {
 	all   []int // every cluster index, the "train on all supporting clusters" request
 }
 
-// buildBenchState synthesizes an n-sample, 3-feature shard and
+// buildBenchState synthesizes an n-sample shard with 3 features (or
+// 1, dims == 1: the shape the synthetic qensd fleet serves) and
 // quantizes it into k clusters.
-func buildBenchState(b *testing.B, model string, k, n int) *benchState {
+func buildBenchState(b *testing.B, model string, dims, k, n int) *benchState {
 	b.Helper()
-	d := dataset.MustNew([]string{"x0", "x1", "x2", "y"}, "y")
+	cols := []string{"x0", "x1", "x2", "y"}
+	if dims == 1 {
+		cols = []string{"x0", "y"}
+	}
+	d := dataset.MustNew(cols, "y")
 	src := rng.New(42)
 	for i := 0; i < n; i++ {
 		x0 := src.Uniform(0, 100)
+		if dims == 1 {
+			d.MustAppend([]float64{x0, 0.05*x0*x0 - 3*x0 + src.Normal(0, 4)})
+			continue
+		}
 		x1 := src.Uniform(-50, 50)
 		x2 := src.Uniform(0, 10)
 		y := 3*x0 - 2*x1 + 5*x2 + src.Normal(0, 4)
@@ -41,9 +50,9 @@ func buildBenchState(b *testing.B, model string, k, n int) *benchState {
 	var spec ml.Spec
 	switch model {
 	case "lr":
-		spec = ml.PaperLR(3)
+		spec = ml.PaperLR(dims)
 	case "nn":
-		spec = ml.PaperNN(3)
+		spec = ml.PaperNN(dims)
 	default:
 		b.Fatalf("unknown model %q", model)
 	}
@@ -111,12 +120,32 @@ func legacyTrain(spec ml.Spec, seed uint64, params ml.Params, quant *cluster.Qua
 // overhead. scripts/bench_train.sh renders these as BENCH_train.json
 // and fails if the view path is not >=2x the copy path's throughput
 // on the LR grid at 10k samples.
+//
+// The shape=fleet row is the round the end-to-end fleet actually runs:
+// PaperNN(1) over ~900 rows in 3 clusters for 5 local epochs.
 func BenchmarkNodeTrain(b *testing.B) {
 	ctx := context.Background()
+	fleet := buildBenchState(b, "nn", 1, 3, 900)
+	fleetParams := fleet.initialParams(b)
+	b.Run("path=view/model=nn/shape=fleet/clusters=3/samples=900/epochs=5", func(b *testing.B) {
+		e := New(Config{NodeID: "bench", Parallelism: 1, Registry: &telemetry.Registry{}},
+			fleet.data, fleet.quant)
+		job := TrainJob{Spec: fleet.spec, Seed: 1, Params: fleetParams, Clusters: fleet.all, Epochs: 5}
+		if _, err := e.Train(ctx, job); err != nil { // warm pool + buffers
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Train(ctx, job); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, model := range []string{"lr", "nn"} {
 		for _, k := range []int{4, 16} {
 			for _, n := range []int{1000, 10000} {
-				state := buildBenchState(b, model, k, n)
+				state := buildBenchState(b, model, 3, k, n)
 				params := state.initialParams(b)
 
 				b.Run(fmt.Sprintf("path=view/model=%s/clusters=%d/samples=%d", model, k, n), func(b *testing.B) {
@@ -156,7 +185,7 @@ func BenchmarkNodeTrain(b *testing.B) {
 // allocs/op.
 func BenchmarkNodeTrainClusterAccess(b *testing.B) {
 	ctx := context.Background()
-	state := buildBenchState(b, "lr", 8, 10000)
+	state := buildBenchState(b, "lr", 3, 8, 10000)
 	spec := state.spec
 	spec.Seed = 1
 	model, err := spec.New()

@@ -398,8 +398,10 @@ func (s *Scheduler) run(t *task) {
 		}
 	}
 	s.mu.Unlock()
-	close(t.done)
 
+	// Record before publishing: a waiter released by close(t.done)
+	// must already see this task in the completion counters, the
+	// inflight gauge and the latency histogram.
 	s.m.inflight.Set(float64(s.inflight.Add(-1)))
 	s.m.e2eMS.Observe(float64(t.elapsed) / float64(time.Millisecond))
 	switch {
@@ -410,6 +412,7 @@ func (s *Scheduler) run(t *task) {
 	default:
 		s.m.completedErr.Inc()
 	}
+	close(t.done)
 }
 
 // Draining reports whether the scheduler has begun shutting down.

@@ -1,9 +1,10 @@
 // Package matrix implements the small dense linear-algebra kernel used
 // by the ML and clustering substrates: row-major dense matrices,
-// vectors, and the handful of BLAS-like operations back-propagation and
-// Lloyd's algorithm need. The package is dependency-free and favours
-// clarity plus bounds-checked correctness over vectorized throughput;
-// hot loops still avoid per-element interface dispatch and allocation.
+// vectors, the vector operations Lloyd's algorithm needs and the
+// normal-equation solver behind the closed-form linear model. The NN
+// trains through its own fused row kernels in internal/ml. The package
+// is dependency-free and favours clarity plus bounds-checked
+// correctness over vectorized throughput.
 package matrix
 
 import (
@@ -27,14 +28,6 @@ func NewDense(rows, cols int) *Dense {
 		panic("matrix: negative dimension")
 	}
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewDenseData wraps data (length rows*cols, row-major) without copying.
-func NewDenseData(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("matrix: data length %d != %d x %d", len(data), rows, cols))
-	}
-	return &Dense{rows: rows, cols: cols, data: data}
 }
 
 // FromRows builds a matrix from row slices, which must share a length.
@@ -95,16 +88,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
-// Zero sets every element to 0.
-func (m *Dense) Zero() { m.Fill(0) }
-
 // T returns the transpose of m as a new matrix.
 func (m *Dense) T() *Dense {
 	out := NewDense(m.cols, m.rows)
@@ -137,86 +120,6 @@ func Mul(a, b *Dense) *Dense {
 		}
 	}
 	return out
-}
-
-// MulInto computes dst = a * b, reusing dst's storage. dst must be
-// a.rows x b.cols and must not alias a or b.
-func MulInto(dst, a, b *Dense) {
-	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
-		panic(ErrShape)
-	}
-	dst.Zero()
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MulTransA returns aᵀ * b without materializing the transpose.
-func MulTransA(a, b *Dense) *Dense {
-	out := NewDense(a.cols, b.cols)
-	MulTransAInto(out, a, b)
-	return out
-}
-
-// MulTransAInto computes dst = aᵀ * b, reusing dst's storage. dst must
-// be a.cols x b.cols and must not alias a or b. The accumulation order
-// is identical to MulTransA, so results are bit-exact across the two.
-func MulTransAInto(dst, a, b *Dense) {
-	if a.rows != b.rows || dst.rows != a.cols || dst.cols != b.cols {
-		panic(ErrShape)
-	}
-	dst.Zero()
-	for r := 0; r < a.rows; r++ {
-		arow := a.data[r*a.cols : (r+1)*a.cols]
-		brow := b.data[r*b.cols : (r+1)*b.cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := dst.data[i*dst.cols : (i+1)*dst.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MulTransB returns a * bᵀ without materializing the transpose.
-func MulTransB(a, b *Dense) *Dense {
-	out := NewDense(a.rows, b.rows)
-	MulTransBInto(out, a, b)
-	return out
-}
-
-// MulTransBInto computes dst = a * bᵀ, reusing dst's storage. dst must
-// be a.rows x b.rows and must not alias a or b. The accumulation order
-// is identical to MulTransB, so results are bit-exact across the two.
-func MulTransBInto(dst, a, b *Dense) {
-	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
-		panic(ErrShape)
-	}
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j := 0; j < b.rows; j++ {
-			brow := b.data[j*b.cols : (j+1)*b.cols]
-			sum := 0.0
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			orow[j] = sum
-		}
-	}
 }
 
 // Add returns a + b element-wise.
@@ -260,67 +163,6 @@ func AxpyInPlace(a *Dense, alpha float64, b *Dense) {
 	sameShape(a, b)
 	for i, v := range b.data {
 		a.data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of m by alpha in place.
-func (m *Dense) Scale(alpha float64) {
-	for i := range m.data {
-		m.data[i] *= alpha
-	}
-}
-
-// Apply replaces every element x with f(x) in place.
-func (m *Dense) Apply(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
-}
-
-// Hadamard returns the element-wise product a ⊙ b.
-func Hadamard(a, b *Dense) *Dense {
-	sameShape(a, b)
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] *= v
-	}
-	return out
-}
-
-// AddRowVector adds vector v (length cols) to every row of m in place.
-func (m *Dense) AddRowVector(v []float64) {
-	if len(v) != m.cols {
-		panic(ErrShape)
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-}
-
-// ColSums returns the per-column sum of m.
-func (m *Dense) ColSums() []float64 {
-	out := make([]float64, m.cols)
-	m.ColSumsInto(out)
-	return out
-}
-
-// ColSumsInto writes the per-column sum of m into out, which must have
-// length Cols(). Summation order matches ColSums bit-exactly.
-func (m *Dense) ColSumsInto(out []float64) {
-	if len(out) != m.cols {
-		panic(ErrShape)
-	}
-	for j := range out {
-		out[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out[j] += v
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -88,18 +87,6 @@ func TestMulShapePanics(t *testing.T) {
 	Mul(NewDense(2, 3), NewDense(2, 3))
 }
 
-func TestMulInto(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{0, 1}, {1, 0}})
-	dst := NewDense(2, 2)
-	dst.Fill(99) // must be overwritten
-	MulInto(dst, a, b)
-	want := FromRows([][]float64{{2, 1}, {4, 3}})
-	if !Equal(dst, want, 1e-12) {
-		t.Fatalf("MulInto = %v, want %v", dst, want)
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.T()
@@ -108,26 +95,6 @@ func TestTranspose(t *testing.T) {
 	}
 	if !Equal(at.T(), a, 0) {
 		t.Fatal("double transpose != original")
-	}
-}
-
-func TestMulTransA(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	b := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	got := MulTransA(a, b)
-	want := Mul(a.T(), b)
-	if !Equal(got, want, 1e-12) {
-		t.Fatalf("MulTransA = %v, want %v", got, want)
-	}
-}
-
-func TestMulTransB(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{1, 1, 1}, {2, 0, 2}})
-	got := MulTransB(a, b)
-	want := Mul(a, b.T())
-	if !Equal(got, want, 1e-12) {
-		t.Fatalf("MulTransB = %v, want %v", got, want)
 	}
 }
 
@@ -156,35 +123,6 @@ func TestInPlaceOps(t *testing.T) {
 	AxpyInPlace(a, 2, b)
 	if a.At(0, 0) != 5 || a.At(0, 1) != 7 {
 		t.Fatalf("AxpyInPlace = %v", a)
-	}
-}
-
-func TestScaleApplyHadamard(t *testing.T) {
-	a := FromRows([][]float64{{1, -2}, {3, -4}})
-	a.Scale(2)
-	if a.At(1, 1) != -8 {
-		t.Fatalf("Scale: %v", a)
-	}
-	a.Apply(math.Abs)
-	if a.At(1, 1) != 8 || a.At(0, 1) != 4 {
-		t.Fatalf("Apply: %v", a)
-	}
-	h := Hadamard(a, a)
-	if h.At(1, 1) != 64 {
-		t.Fatalf("Hadamard: %v", h)
-	}
-}
-
-func TestAddRowVectorColSums(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	m.AddRowVector([]float64{10, 20})
-	want := FromRows([][]float64{{11, 22}, {13, 24}})
-	if !Equal(m, want, 0) {
-		t.Fatalf("AddRowVector: %v", m)
-	}
-	sums := m.ColSums()
-	if sums[0] != 24 || sums[1] != 46 {
-		t.Fatalf("ColSums: %v", sums)
 	}
 }
 

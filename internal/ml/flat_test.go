@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"qens/internal/rng"
 )
 
 // flatSpecs returns one spec per model family, exercising the
@@ -202,5 +204,39 @@ func TestPartialFitBatchSteadyStateZeroAlloc(t *testing.T) {
 	allocs = testing.AllocsPerRun(20, func() { m.PredictFlat(xf, out) })
 	if allocs != 0 {
 		t.Fatalf("steady-state PredictFlat allocates %v per run", allocs)
+	}
+}
+
+// TestNNPartialFitBatchSteadyStateZeroAlloc pins the NN's allocation
+// contract, matching the LR one above: once warmed, a flat fit makes
+// no allocation per batch or per epoch, and flat prediction none per
+// row. Covers the paper's 1-64-1 shape (relu inline) and a deeper
+// tanh net through the activation table.
+func TestNNPartialFitBatchSteadyStateZeroAlloc(t *testing.T) {
+	deep := PaperNN(3)
+	deep.Hidden = []int{8, 4}
+	deep.Activation = ActivationTanh
+	deep.L2 = 1e-4
+	for _, spec := range []Spec{PaperNN(1), deep} {
+		spec.Seed = 4
+		xq, yq := nnGoldenBatch(rng.New(8), 300, spec.InputDim)
+		m := spec.MustNew()
+		ctx := context.Background()
+		if err := m.PartialFitBatch(ctx, xq, yq, 1); err != nil { // warm scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := m.PartialFitBatch(ctx, xq, yq, 5); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: steady-state NN PartialFitBatch allocates %v per run", spec.Hidden, allocs)
+		}
+		out := make([]float64, len(yq))
+		allocs = testing.AllocsPerRun(10, func() { m.PredictFlat(xq, out) })
+		if allocs != 0 {
+			t.Fatalf("%v: steady-state NN PredictFlat allocates %v per run", spec.Hidden, allocs)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"qens/internal/matrix"
 	"qens/internal/rng"
 )
 
@@ -16,50 +15,45 @@ import (
 // Like the linear model it standardizes inputs/targets with streaming
 // statistics.
 type neuralNet struct {
-	spec    Spec
-	act     activation
+	spec Spec
+	act  activation
+	// relu marks the default activation, which the row kernels apply
+	// inline instead of calling through the activation table.
+	relu bool
+	// params is the flat parameter vector the optimizer steps in
+	// place: each layer's weights then its biases, layer by layer.
+	// The layers' w and b slices alias it.
+	params  []float64
 	layers  []denseLayer
 	stats   *runningStats
 	opt     optimizer
 	src     *rng.Source
 	history History
 
-	// scratch holds the reusable forward/backward working set: the
-	// permutation, the normalized input matrix, per-layer activation
-	// and delta backings, the flat gradient and parameter vectors.
-	// Sized lazily to the largest batch seen; reuse across batches
-	// and epochs keeps steady-state training allocation-light and is
-	// what the engine's model pool recycles. Makes the model unsafe
-	// for concurrent use (see Model docs).
+	// scratch is the reusable working set of the row kernels, sized
+	// once from the layer widths, so neither training nor batched
+	// prediction allocates. Makes the model unsafe for concurrent
+	// use (see Model docs).
 	scratch struct {
-		perm     []int
-		input    []float64
-		actBuf   [][]float64 // index l+1: backing for layer l's output
-		deltaBuf [][]float64 // index l: backing for deltas with widths[l] cols
-		target   []float64
-		grad     []float64
-		params   []float64
-		xn       []float64
-		pred     []float64
+		perm []int
+		grad []float64 // laid out like params
+		// acts[l] holds one row of layer l's input (acts[0] is the
+		// normalized feature row, acts[len(layers)] the output).
+		acts [][]float64
+		// deltas[l] holds one row of dL/dz for layer l's output.
+		deltas [][]float64
 	}
 }
 
-// widths returns the layer widths including input and output.
-func (m *neuralNet) widths() []int {
-	out := make([]int, 0, len(m.layers)+1)
-	out = append(out, m.spec.InputDim)
-	for _, l := range m.layers {
-		out = append(out, l.w.Cols())
-	}
-	return out
-}
-
-// denseLayer holds weights (in x out) and biases (out). hidden marks
+// denseLayer is one fully connected layer over slices of the model's
+// flat parameter vector: w is in x out row-major, b has out entries.
+// gw and gb are the matching slices of the flat gradient. hidden marks
 // layers followed by the nonlinearity; the output layer is linear.
 type denseLayer struct {
-	w      *matrix.Dense
-	b      []float64
-	hidden bool
+	in, out int
+	w, b    []float64
+	gw, gb  []float64
+	hidden  bool
 }
 
 func newNeuralNet(spec Spec, src *rng.Source) *neuralNet {
@@ -69,38 +63,69 @@ func newNeuralNet(spec Spec, src *rng.Source) *neuralNet {
 		// programming error, not a data condition.
 		panic(err)
 	}
-	widths := append([]int{spec.InputDim}, spec.Hidden...)
-	widths = append(widths, 1)
-	layers := make([]denseLayer, len(widths)-1)
-	for l := range layers {
-		in, out := widths[l], widths[l+1]
-		w := matrix.NewDense(in, out)
-		// He initialization for relu layers.
-		scale := math.Sqrt(2 / float64(in))
-		for i := 0; i < in; i++ {
-			for j := 0; j < out; j++ {
-				w.Set(i, j, src.Normal(0, scale))
-			}
-		}
-		layers[l] = denseLayer{w: w, b: make([]float64, out), hidden: l < len(layers)-1}
-	}
 	m := &neuralNet{
-		spec:   spec,
-		act:    act,
-		layers: layers,
-		stats:  newRunningStats(spec.InputDim),
-		src:    src,
+		spec:  spec,
+		act:   act,
+		relu:  act.name == ActivationRelu,
+		stats: newRunningStats(spec.InputDim),
+		src:   src,
 	}
-	m.opt = newOptimizer(spec.Optimizer, spec.LearningRate, m.paramCount())
+	m.bindLayers(nnWidths(spec))
+	m.initWeights()
+	m.opt = newOptimizer(spec.Optimizer, spec.LearningRate, len(m.params))
 	return m
 }
 
-func (m *neuralNet) paramCount() int {
+// nnWidths returns the layer widths of spec's network: input, hidden
+// layers, then the single output unit.
+func nnWidths(spec Spec) []int {
+	widths := append([]int{spec.InputDim}, spec.Hidden...)
+	return append(widths, 1)
+}
+
+// bindLayers allocates a zero parameter vector for the given widths,
+// points the layers at their segments of it, and sizes the row
+// scratch.
+func (m *neuralNet) bindLayers(widths []int) {
 	n := 0
-	for _, l := range m.layers {
-		n += l.w.Rows()*l.w.Cols() + len(l.b)
+	for l := 1; l < len(widths); l++ {
+		n += widths[l-1]*widths[l] + widths[l]
 	}
-	return n
+	m.params = make([]float64, n)
+	m.scratch.grad = make([]float64, n)
+	m.layers = make([]denseLayer, len(widths)-1)
+	offset := 0
+	for l := range m.layers {
+		in, out := widths[l], widths[l+1]
+		wEnd, bEnd := offset+in*out, offset+in*out+out
+		m.layers[l] = denseLayer{
+			in: in, out: out,
+			w: m.params[offset:wEnd], b: m.params[wEnd:bEnd],
+			gw: m.scratch.grad[offset:wEnd], gb: m.scratch.grad[wEnd:bEnd],
+			hidden: l < len(m.layers)-1,
+		}
+		offset = bEnd
+	}
+	m.scratch.acts = make([][]float64, len(widths))
+	for l, w := range widths {
+		m.scratch.acts[l] = make([]float64, w)
+	}
+	m.scratch.deltas = make([][]float64, len(m.layers))
+	for l, layer := range m.layers {
+		m.scratch.deltas[l] = make([]float64, layer.out)
+	}
+}
+
+// initWeights draws He-initialized weights (relu layers) from m.src
+// in row-major order and zeroes the biases.
+func (m *neuralNet) initWeights() {
+	for _, layer := range m.layers {
+		scale := math.Sqrt(2 / float64(layer.in))
+		for i := range layer.w {
+			layer.w[i] = m.src.Normal(0, scale)
+		}
+		clear(layer.b)
+	}
 }
 
 // Fit trains for the configured epochs with a validation split.
@@ -180,11 +205,6 @@ func (m *neuralNet) runEpoch(ctx context.Context, x2 [][]float64, xf []float64, 
 	if cap(m.scratch.perm) < n {
 		m.scratch.perm = make([]int, n)
 	}
-	nb := m.spec.BatchSize
-	if n < nb {
-		nb = n
-	}
-	m.ensureBatchScratch(nb)
 	perm := m.src.PermInto(m.scratch.perm[:n])
 	for start := 0; start < n; start += m.spec.BatchSize {
 		if err := ctx.Err(); err != nil {
@@ -199,122 +219,171 @@ func (m *neuralNet) runEpoch(ctx context.Context, x2 [][]float64, xf []float64, 
 	return nil
 }
 
-// ensureBatchScratch grows the batch-shaped scratch (input matrix,
-// activation and delta backings, targets) to hold nb rows, and the
-// flat gradient/parameter vectors. Growth is monotonic, so steady
-// state never reallocates.
-func (m *neuralNet) ensureBatchScratch(nb int) {
-	widths := m.widths()
-	if cap(m.scratch.input) < nb*m.spec.InputDim {
-		m.scratch.input = make([]float64, nb*m.spec.InputDim)
-	}
-	if m.scratch.actBuf == nil {
-		m.scratch.actBuf = make([][]float64, len(m.layers)+1)
-		m.scratch.deltaBuf = make([][]float64, len(m.layers)+1)
-	}
-	for l := 1; l <= len(m.layers); l++ {
-		if cap(m.scratch.actBuf[l]) < nb*widths[l] {
-			m.scratch.actBuf[l] = make([]float64, nb*widths[l])
-		}
-		if cap(m.scratch.deltaBuf[l]) < nb*widths[l] {
-			m.scratch.deltaBuf[l] = make([]float64, nb*widths[l])
-		}
-	}
-	if cap(m.scratch.target) < nb {
-		m.scratch.target = make([]float64, nb)
-	}
-	if m.scratch.grad == nil {
-		m.scratch.grad = make([]float64, m.paramCount())
-		m.scratch.params = make([]float64, m.paramCount())
-	}
-}
-
 // trainBatch runs forward + backward on one mini-batch and applies
-// the optimizer step. All matrices are views over the model's scratch
-// backings; the arithmetic (and therefore the result) is bit-exact
-// with the historical allocate-per-batch implementation.
+// the optimizer step. Rows stream through the row kernels one at a
+// time, accumulating the flat gradient in batch order; see DESIGN.md
+// §11 for the operation-order contract that keeps the result bit-exact
+// with the batched matrix formulation (gW = aᵀ·δ, gb = Σδ,
+// δ_prev = (δ·Wᵀ) ⊙ f'(a)).
 func (m *neuralNet) trainBatch(x2 [][]float64, xf []float64, y []float64, batch []int) {
-	n := len(batch)
 	d := m.spec.InputDim
-	input := matrix.NewDenseData(n, d, m.scratch.input[:n*d])
-	target := m.scratch.target[:n]
-	for i, idx := range batch {
-		m.stats.normX(input.Row(i), rowAt(x2, xf, d, idx))
-		target[i] = m.stats.normY(y[idx])
-	}
-
-	// Forward pass, keeping activation outputs per layer.
-	acts := make([]*matrix.Dense, len(m.layers)+1)
-	acts[0] = input
-	for l, layer := range m.layers {
-		z := matrix.NewDenseData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
-		matrix.MulInto(z, acts[l], layer.w)
-		z.AddRowVector(layer.b)
-		if layer.hidden {
-			z.Apply(m.act.fn)
-		}
-		acts[l+1] = z
-	}
-
-	// Output delta: dL/dz = 2(pred - target)/n for MSE.
-	out := acts[len(m.layers)]
-	delta := matrix.NewDenseData(n, 1, m.scratch.deltaBuf[len(m.layers)][:n])
-	invN := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		delta.Set(i, 0, 2*(out.At(i, 0)-target[i])*invN)
-	}
-
-	// Backward pass accumulating a flat gradient. The per-layer
-	// weight and bias gradients are computed directly into their
-	// segments of the flat vector (the Into kernels zero their
-	// destination first), so no separate zeroing pass is needed.
+	acts := m.scratch.acts
+	top := len(m.layers) - 1
 	grad := m.scratch.grad
-	offset := len(grad)
-	for l := len(m.layers) - 1; l >= 0; l-- {
-		layer := m.layers[l]
-		wRows, wCols := layer.w.Rows(), layer.w.Cols()
-		offset -= wRows*wCols + wCols
-
-		// Gradient wrt weights: actsᵀ · delta.
-		gw := matrix.NewDenseData(wRows, wCols, grad[offset:offset+wRows*wCols])
-		matrix.MulTransAInto(gw, acts[l], delta)
-		// Gradient wrt biases: column sums of delta.
-		delta.ColSumsInto(grad[offset+wRows*wCols : offset+wRows*wCols+wCols])
-
-		if l > 0 {
-			// Propagate: delta_prev = (delta · wᵀ) ⊙ f'(acts[l]),
-			// with f' expressed in terms of the activation output.
-			next := matrix.NewDenseData(n, wRows, m.scratch.deltaBuf[l][:n*wRows])
-			matrix.MulTransBInto(next, delta, layer.w)
-			prevAct := acts[l]
-			for i := 0; i < next.Rows(); i++ {
-				row := next.Row(i)
-				actRow := prevAct.Row(i)
-				for j := range row {
-					row[j] *= m.act.dFromOutput(actRow[j])
-				}
-			}
-			delta = next
-		}
+	clear(grad)
+	invN := 1 / float64(len(batch))
+	for _, idx := range batch {
+		m.stats.normX(acts[0], rowAt(x2, xf, d, idx))
+		m.forwardRow()
+		// Output delta: dL/dz = 2(pred - target)/n for MSE.
+		m.scratch.deltas[top][0] = 2 * (acts[top+1][0] - m.stats.normY(y[idx])) * invN
+		m.backwardRow()
 	}
 
 	// L2 weight decay: applies to weights, not biases.
 	if m.spec.L2 > 0 {
-		offset := 0
 		for _, layer := range m.layers {
-			n := layer.w.Rows() * layer.w.Cols()
-			wdata := layer.w.Data()
-			for i := 0; i < n; i++ {
-				grad[offset+i] += m.spec.L2 * wdata[i]
+			for i, w := range layer.w {
+				layer.gw[i] += m.spec.L2 * w
 			}
-			offset += n + len(layer.b)
 		}
 	}
 
 	clipGradient(grad, 50)
-	params := m.flattenParamsInto(m.scratch.params)
-	m.opt.step(params, grad)
-	m.loadParams(params)
+	m.opt.step(m.params, grad)
+}
+
+// forwardRow runs the row in scratch.acts[0] through every layer:
+// acts[l+1] = f(acts[l]·W + b) with f the activation on hidden layers.
+// Each output element is accumulated from 0 in ascending k, skipping
+// zero inputs, before the bias is added and the activation applied.
+func (m *neuralNet) forwardRow() {
+	acts := m.scratch.acts
+	for l := range m.layers {
+		layer := &m.layers[l]
+		in, z := acts[l], acts[l+1]
+		switch {
+		case layer.in == 1:
+			clear(z)
+			if a := in[0]; a != 0 {
+				w := layer.w[:len(z)]
+				for j := range z {
+					z[j] += a * w[j]
+				}
+			}
+		case layer.out == 1:
+			w := layer.w[:len(in)]
+			s := 0.0
+			for k, a := range in {
+				if a != 0 {
+					s += a * w[k]
+				}
+			}
+			z[0] = s
+		default:
+			clear(z)
+			for k, a := range in {
+				if a == 0 {
+					continue
+				}
+				wk := layer.w[k*layer.out : (k+1)*layer.out]
+				for j, w := range wk {
+					z[j] += a * w
+				}
+			}
+		}
+		b := layer.b[:len(z)]
+		switch {
+		case !layer.hidden:
+			for j := range z {
+				z[j] += b[j]
+			}
+		case m.relu:
+			for j := range z {
+				v := z[j] + b[j]
+				if v < 0 {
+					v = 0
+				}
+				z[j] = v
+			}
+		default:
+			f := m.act.fn
+			for j := range z {
+				z[j] = f(z[j] + b[j])
+			}
+		}
+	}
+}
+
+// backwardRow folds one row's contribution into scratch.grad, from the
+// output delta in scratch.deltas[top] down: gW += aᵀ·δ (skipping zero
+// inputs), gb += δ, and for every layer but the first the input delta
+// δ_prev = (δ·Wᵀ) ⊙ f'(a), each dot product accumulated from 0 in
+// ascending j. The derivative is multiplied in, never selected, so a
+// relu row yields s*1 or s*0 exactly as the activation table does.
+func (m *neuralNet) backwardRow() {
+	acts, deltas := m.scratch.acts, m.scratch.deltas
+	for l := len(m.layers) - 1; l >= 0; l-- {
+		layer := &m.layers[l]
+		gw, gb := layer.gw, layer.gb
+		a, delta := acts[l], deltas[l]
+		for j, dj := range delta {
+			gb[j] += dj
+		}
+		var prev []float64
+		if l > 0 {
+			prev = deltas[l-1]
+		}
+		switch {
+		case layer.out == 1 && prev != nil:
+			dj := delta[0]
+			w, g, p := layer.w[:len(a)], gw[:len(a)], prev[:len(a)]
+			for k, ak := range a {
+				if ak != 0 {
+					g[k] += ak * dj
+				}
+				s := 0.0
+				s += dj * w[k]
+				p[k] = m.scaleByDeriv(s, ak)
+			}
+		case layer.in == 1 && prev == nil:
+			if ak := a[0]; ak != 0 {
+				g := gw[:len(delta)]
+				for j, dj := range delta {
+					g[j] += ak * dj
+				}
+			}
+		default:
+			for k, ak := range a {
+				if ak != 0 {
+					g := gw[k*layer.out : (k+1)*layer.out]
+					for j, dj := range delta {
+						g[j] += ak * dj
+					}
+				}
+				if prev != nil {
+					wk := layer.w[k*layer.out : (k+1)*layer.out]
+					s := 0.0
+					for j, dj := range delta {
+						s += dj * wk[j]
+					}
+					prev[k] = m.scaleByDeriv(s, ak)
+				}
+			}
+		}
+	}
+}
+
+// scaleByDeriv returns s * f'(z) for the hidden activation, with f'
+// expressed in terms of the activation output y = f(z).
+func (m *neuralNet) scaleByDeriv(s, y float64) float64 {
+	if m.relu {
+		if y > 0 {
+			return s * 1
+		}
+		return s * 0
+	}
+	return s * m.act.dFromOutput(y)
 }
 
 // forward computes the standardized output for one input vector.
@@ -322,11 +391,11 @@ func (m *neuralNet) forward(x []float64) float64 {
 	cur := make([]float64, len(x))
 	m.stats.normX(cur, x)
 	for _, layer := range m.layers {
-		next := make([]float64, layer.w.Cols())
+		next := make([]float64, layer.out)
 		for j := range next {
 			sum := layer.b[j]
 			for i, v := range cur {
-				sum += v * layer.w.At(i, j)
+				sum += v * layer.w[i*layer.out+j]
 			}
 			if layer.hidden {
 				sum = m.act.fn(sum)
@@ -343,72 +412,50 @@ func (m *neuralNet) Predict(x []float64) float64 {
 	return m.stats.denormY(m.forward(x))
 }
 
-// PredictBatch returns raw-scale predictions for many inputs. Batches
-// run through the matrix forward pass, which amortizes the layer loops
-// far better than per-sample prediction.
+// PredictBatch returns raw-scale predictions for many inputs through
+// the same row kernel as PredictFlat.
 func (m *neuralNet) PredictBatch(x [][]float64) []float64 {
 	if len(x) == 0 {
 		return nil
 	}
-	input := matrix.NewDense(len(x), m.spec.InputDim)
 	for i, row := range x {
 		if len(row) != m.spec.InputDim {
 			panic(fmt.Sprintf("ml: input %d has %d features, want %d", i, len(row), m.spec.InputDim))
 		}
-		m.stats.normX(input.Row(i), row)
-	}
-	cur := input
-	for _, layer := range m.layers {
-		z := matrix.Mul(cur, layer.w)
-		z.AddRowVector(layer.b)
-		if layer.hidden {
-			z.Apply(m.act.fn)
-		}
-		cur = z
 	}
 	out := make([]float64, len(x))
+	m.predictRows(x, nil, out)
+	return out
+}
+
+// PredictFlat writes raw-scale predictions for the flat row-major
+// input buffer into out, one row at a time through the model's
+// scratch.
+func (m *neuralNet) PredictFlat(x []float64, out []float64) {
+	n := len(out)
+	d := m.spec.InputDim
+	if len(x) != n*d {
+		panic(fmt.Sprintf("ml: flat predict length %d != %d samples x %d features", len(x), n, d))
+	}
+	m.predictRows(nil, x, out)
+}
+
+// predictRows fills out with predictions for either data
+// representation (see rowAt).
+func (m *neuralNet) predictRows(x2 [][]float64, xf []float64, out []float64) {
+	acts := m.scratch.acts
 	for i := range out {
-		out[i] = m.stats.denormY(cur.At(i, 0))
-	}
-	return out
-}
-
-// flattenParams serializes weights+biases layer by layer.
-func (m *neuralNet) flattenParams() []float64 {
-	return m.flattenParamsInto(make([]float64, m.paramCount()))
-}
-
-// flattenParamsInto serializes weights+biases into the given buffer
-// (length paramCount) and returns it.
-func (m *neuralNet) flattenParamsInto(out []float64) []float64 {
-	offset := 0
-	for _, l := range m.layers {
-		offset += copy(out[offset:], l.w.Data())
-		offset += copy(out[offset:], l.b)
-	}
-	return out
-}
-
-// loadParams restores weights+biases from a flat vector.
-func (m *neuralNet) loadParams(v []float64) {
-	offset := 0
-	for _, l := range m.layers {
-		n := l.w.Rows() * l.w.Cols()
-		copy(l.w.Data(), v[offset:offset+n])
-		offset += n
-		copy(l.b, v[offset:offset+len(l.b)])
-		offset += len(l.b)
+		m.stats.normX(acts[0], rowAt(x2, xf, m.spec.InputDim, i))
+		m.forwardRow()
+		out[i] = m.stats.denormY(acts[len(m.layers)][0])
 	}
 }
 
 // Params exports weights, biases and normalization state.
 func (m *neuralNet) Params() Params {
-	dims := []int{m.spec.InputDim}
-	dims = append(dims, m.spec.Hidden...)
-	dims = append(dims, 1)
-	values := m.flattenParams()
+	values := append([]float64(nil), m.params...)
 	values = append(values, m.stats.flatten()...)
-	return Params{Kind: KindNN, Dims: dims, Values: values}
+	return Params{Kind: KindNN, Dims: nnWidths(m.spec), Values: values}
 }
 
 // SetParams loads an exported snapshot.
@@ -417,63 +464,19 @@ func (m *neuralNet) SetParams(p Params) error {
 	if !p.Compatible(want) {
 		return fmt.Errorf("ml: incompatible params (kind %q dims %v) for nn dims %v", p.Kind, p.Dims, want.Dims)
 	}
-	n := m.paramCount()
-	m.loadParams(p.Values[:n])
+	n := copy(m.params, p.Values)
 	m.stats.unflatten(p.Values[n:])
 	m.opt.reset()
 	return nil
 }
 
-// PredictFlat writes raw-scale predictions for the flat row-major
-// input buffer into out via one batched forward pass over the model's
-// scratch backings.
-func (m *neuralNet) PredictFlat(x []float64, out []float64) {
-	n := len(out)
-	d := m.spec.InputDim
-	if len(x) != n*d {
-		panic(fmt.Sprintf("ml: flat predict length %d != %d samples x %d features", len(x), n, d))
-	}
-	if n == 0 {
-		return
-	}
-	m.ensureBatchScratch(n)
-	input := matrix.NewDenseData(n, d, m.scratch.input[:n*d])
-	for i := 0; i < n; i++ {
-		m.stats.normX(input.Row(i), x[i*d:(i+1)*d])
-	}
-	cur := input
-	for l, layer := range m.layers {
-		z := matrix.NewDenseData(n, layer.w.Cols(), m.scratch.actBuf[l+1][:n*layer.w.Cols()])
-		matrix.MulInto(z, cur, layer.w)
-		z.AddRowVector(layer.b)
-		if layer.hidden {
-			z.Apply(m.act.fn)
-		}
-		cur = z
-	}
-	for i := range out {
-		out[i] = m.stats.denormY(cur.At(i, 0))
-	}
-}
-
 // Reinit re-seeds and re-initializes the model in place (see Model).
-// Weight matrices, bias vectors and scratch are reused; the RNG draws
-// mirror newNeuralNet exactly, so the state is bit-exact with a fresh
+// Parameter and scratch storage is reused; the RNG draws mirror
+// newNeuralNet exactly, so the state is bit-exact with a fresh
 // construction.
 func (m *neuralNet) Reinit(seed uint64, params Params) error {
 	m.src = rng.New(seed)
-	for _, layer := range m.layers {
-		in, out := layer.w.Rows(), layer.w.Cols()
-		scale := math.Sqrt(2 / float64(in))
-		for i := 0; i < in; i++ {
-			for j := 0; j < out; j++ {
-				layer.w.Set(i, j, m.src.Normal(0, scale))
-			}
-		}
-		for j := range layer.b {
-			layer.b[j] = 0
-		}
-	}
+	m.initWeights()
 	m.stats.reset()
 	m.opt.reset()
 	m.opt.setLR(m.spec.LearningRate)
@@ -486,22 +489,21 @@ func (m *neuralNet) Reinit(seed uint64, params Params) error {
 
 // Clone returns an independent copy.
 func (m *neuralNet) Clone() Model {
-	layers := make([]denseLayer, len(m.layers))
-	for i, l := range m.layers {
-		layers[i] = denseLayer{w: l.w.Clone(), b: append([]float64(nil), l.b...), hidden: l.hidden}
-	}
-	return &neuralNet{
-		spec:   m.spec,
-		act:    m.act,
-		layers: layers,
-		stats:  m.stats.clone(),
-		opt:    m.opt.clone(),
-		src:    m.src.Split(),
+	c := &neuralNet{
+		spec:  m.spec,
+		act:   m.act,
+		relu:  m.relu,
+		stats: m.stats.clone(),
+		opt:   m.opt.clone(),
+		src:   m.src.Split(),
 		history: History{
 			TrainLoss: append([]float64(nil), m.history.TrainLoss...),
 			ValLoss:   append([]float64(nil), m.history.ValLoss...),
 		},
 	}
+	c.bindLayers(nnWidths(m.spec))
+	copy(c.params, m.params)
+	return c
 }
 
 // History returns the last Fit's loss curves.

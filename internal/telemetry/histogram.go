@@ -199,8 +199,11 @@ func quantileFromCounts(counts *[histBuckets + 1]int64, total int64, q, min, max
 			if hi < lo {
 				hi = lo
 			}
+			// The final clamp keeps the estimate inside the range
+			// even when max is 0 (lo was floored above it) or the
+			// power rounds past hi.
 			frac := (rank - cum) / n
-			return lo * math.Pow(hi/lo, frac)
+			return math.Min(lo*math.Pow(hi/lo, frac), max)
 		}
 		cum += n
 	}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -15,12 +16,15 @@ import (
 // write path stays a handful of atomic ops with zero allocation and
 // no lock. Reads merge the shards still inside the window.
 //
-// The view is deliberately approximate at interval boundaries: a shard
-// being recycled can lose an observation racing the wipe, and the
-// merged window covers between (shards-1) and shards intervals of
-// history depending on where "now" falls inside the current interval.
-// Both are harmless for monitoring and are the price of a wait-free
-// write path.
+// Recycling a shard is claimed exactly: the claimer moves the epoch to
+// a "resetting" sentinel, wipes the counts, then publishes the new
+// epoch, and observers landing on the slot meanwhile wait for the
+// publish instead of writing into counts about to be wiped. The view
+// is still approximate at interval boundaries: the merged window
+// covers between (shards-1) and shards intervals of history depending
+// on where "now" falls inside the current interval, and an observer
+// stalled for a whole ring cycle can still write into a slot that has
+// moved on. Both are harmless for monitoring.
 
 const (
 	// defaultWindow is the rolling span EnableWindow-style callers
@@ -30,6 +34,10 @@ const (
 	// fewer than 2 shards.
 	defaultWindowShards = 6
 )
+
+// epochResetting marks a shard whose counts are being wiped by the
+// observer that claimed it for a new interval.
+const epochResetting = math.MinInt64
 
 // rollingShard is one ring slot: the interval it currently covers plus
 // the observations made during that interval.
@@ -93,16 +101,31 @@ func NewRollingHistogram(window time.Duration, shards int) *RollingHistogram {
 func (r *RollingHistogram) Span() time.Duration { return r.span }
 
 // Observe records one value into the shard owning the current
-// interval. Wait-free and allocation-free: one clock read, one ring
-// index, and the underlying Histogram's atomic updates.
+// interval. Allocation-free and mutex-free: one clock read, one ring
+// index, and the underlying Histogram's atomic updates. Only an
+// observer landing on a slot another observer is recycling waits,
+// for the length of one Histogram.Reset.
 func (r *RollingHistogram) Observe(v float64) {
 	e := r.now() / r.interval
 	s := &r.shards[int(e%int64(len(r.shards)))]
-	if old := s.epoch.Load(); old != e {
-		// Claim the slot for the new interval; the CAS winner wipes
-		// the counts left over from the interval being recycled.
-		if s.epoch.CompareAndSwap(old, e) {
+	for {
+		old := s.epoch.Load()
+		if old == epochResetting {
+			runtime.Gosched()
+			continue
+		}
+		if old >= e {
+			// Current, or already advanced by an observer whose
+			// clock read came later; never move an epoch backwards.
+			break
+		}
+		// Claim the slot for the new interval: wipe the counts left
+		// over from the interval being recycled before publishing e,
+		// so no observation made under e can be wiped.
+		if s.epoch.CompareAndSwap(old, epochResetting) {
 			s.hist.Reset()
+			s.epoch.Store(e)
+			break
 		}
 	}
 	s.hist.Observe(v)
@@ -173,8 +196,8 @@ func (r *RollingHistogram) merge(now int64) WindowStats {
 	for i := range r.shards {
 		s := &r.shards[i]
 		e := s.epoch.Load()
-		if e > cur || cur-e >= n {
-			continue // expired, or never claimed since startup
+		if e == epochResetting || e > cur || cur-e >= n {
+			continue // being recycled, expired, or never claimed since startup
 		}
 		shardTotal := int64(0)
 		for j := range s.hist.buckets {

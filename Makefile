@@ -75,8 +75,7 @@ bench-telemetry:
 
 # Sharded-topology serving benchmark (BenchmarkShardServe, single
 # leader vs 2-region root coordinator over the same fleet) rendered as
-# BENCH_shard.json; fails if the 2-region topology serves less than
-# 1.6x the single-leader throughput.
+# BENCH_shard.json; reports the throughput ratio without gating on it.
 bench-shard:
 	sh scripts/bench_shard.sh
 

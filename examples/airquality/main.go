@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,7 +78,7 @@ func main() {
 		total, count := 0.0, 0
 		samplesUsed, samplesAll := 0, 0
 		for _, q := range workload {
-			res, err := fleet.Execute(q, arm.sel, arm.agg)
+			res, _, err := fleet.Leader.Execute(context.Background(), federation.Request{Query: q, Selector: arm.sel, Aggregation: arm.agg})
 			if err != nil {
 				continue // no node supports this query under this policy
 			}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -92,7 +93,11 @@ func main() {
 			names[idx], r.Rank, r.SupportingSamples, r.TotalSamples)
 	}
 
-	res, err := fleet.Execute(cohort, selection.QueryDriven{Epsilon: 0.7, TopL: 2}, federation.WeightedAveraging)
+	res, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
+		Query:       cohort,
+		Selector:    selection.QueryDriven{Epsilon: 0.7, TopL: 2},
+		Aggregation: federation.WeightedAveraging,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

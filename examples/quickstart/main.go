@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,7 +74,11 @@ func main() {
 
 	// 5. Execute the query: top-2 nodes train on supporting clusters,
 	//    predictions aggregate with ranking weights (Eq. 7).
-	res, err := fleet.Execute(q, selection.QueryDriven{Epsilon: 0.6, TopL: 2}, federation.WeightedAveraging)
+	res, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
+		Query:       q,
+		Selector:    selection.QueryDriven{Epsilon: 0.6, TopL: 2},
+		Aggregation: federation.WeightedAveraging,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -48,7 +49,11 @@ func sweepQueryDriven(env *Environment, sel selection.QueryDriven) (AblationPoin
 	total, frac := 0.0, 0.0
 	executed := 0
 	for _, q := range env.Queries {
-		res, err := env.Fleet.Execute(q, sel, federation.WeightedAveraging)
+		res, _, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.WeightedAveraging,
+		})
 		if err != nil {
 			continue
 		}
@@ -188,7 +193,11 @@ func AblationAggregation(opts Options) (*AblationResult, error) {
 	spec := env.Fleet.Leader.Config().Spec
 	total, executed := 0.0, 0
 	for _, q := range env.Queries {
-		res, err := env.Fleet.Execute(q, sel, federation.ModelAveraging)
+		res, _, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.ModelAveraging,
+		})
 		if err != nil {
 			continue
 		}

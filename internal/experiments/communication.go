@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -71,7 +72,11 @@ func CommunicationCost(opts Options) (*CommResult, error) {
 	executed := 0
 	var paramBytes int64
 	for _, q := range env.Queries {
-		res, err := env.Fleet.Execute(q, sel, federation.ModelAveraging)
+		res, _, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.ModelAveraging,
+		})
 		if err != nil {
 			continue
 		}

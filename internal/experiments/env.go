@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qens/internal/cluster"
@@ -167,7 +168,7 @@ func NewEnvironment(opts Options) (*Environment, error) {
 func (e *Environment) meanLoss(sel selection.Selector, agg federation.Aggregation) (mean float64, executed int, err error) {
 	total := 0.0
 	for _, q := range e.Queries {
-		res, execErr := e.Fleet.Execute(q, sel, agg)
+		res, _, execErr := e.Fleet.Leader.Execute(context.Background(), federation.Request{Query: q, Selector: sel, Aggregation: agg})
 		if execErr != nil {
 			continue // e.g. no node supports this query
 		}

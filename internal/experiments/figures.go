@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -149,7 +150,11 @@ func Figure8(opts Options) (*Figure8Result, error) {
 	sel := selection.QueryDriven{Epsilon: opts.Epsilon, TopL: opts.TopL}
 	out := &Figure8Result{}
 	for _, q := range env.Queries {
-		res, err := env.Fleet.Execute(q, sel, federation.ModelAveraging)
+		res, _, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.ModelAveraging,
+		})
 		if err != nil {
 			continue
 		}
@@ -254,7 +259,11 @@ func Figure9(opts Options) (*Figure9Result, error) {
 	sel := selection.QueryDriven{Epsilon: opts.Epsilon, TopL: opts.TopL}
 	out := &Figure9Result{}
 	for _, q := range env.Queries {
-		res, err := env.Fleet.Execute(q, sel, federation.ModelAveraging)
+		res, _, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.ModelAveraging,
+		})
 		if err != nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -121,7 +122,11 @@ func MultiFeature(opts Options, columns []string) (*MultiFeatureResult, error) {
 	sel := selection.QueryDriven{Epsilon: eps, TopL: opts.TopL}
 	sumLoss, sumFrac, executed := 0.0, 0.0, 0
 	for _, q := range queries {
-		r, err := fleet.Execute(q, sel, federation.WeightedAveraging)
+		r, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.WeightedAveraging,
+		})
 		if err != nil {
 			continue
 		}
@@ -143,7 +148,11 @@ func MultiFeature(opts Options, columns []string) (*MultiFeatureResult, error) {
 	rndLoss, rndN := 0.0, 0
 	ctxSel := selection.Random{L: opts.TopL}
 	for _, q := range queries {
-		r, err := fleet.Execute(q, ctxSel, federation.ModelAveraging)
+		r, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    ctxSel,
+			Aggregation: federation.ModelAveraging,
+		})
 		if err != nil {
 			continue
 		}

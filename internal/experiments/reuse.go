@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -26,6 +27,10 @@ type ReuseResult struct {
 	// times.
 	TimeWithCache    time.Duration
 	TimeWithoutCache time.Duration
+	// RoundsWithCache / RoundsWithoutCache count the node training
+	// rounds behind the answers: a cache hit trains nothing.
+	RoundsWithCache    int
+	RoundsWithoutCache int
 	// LossWithCache / LossWithoutCache are mean per-query test MSEs;
 	// reuse trades a little accuracy (an old model answers a nearby
 	// query) for large time savings.
@@ -38,6 +43,7 @@ func (r ReuseResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query reuse over %d focused queries\n", r.Queries)
 	fmt.Fprintf(&b, "hit rate        %.1f%%\n", 100*r.HitRate)
+	fmt.Fprintf(&b, "train rounds    with cache %-12d without %d\n", r.RoundsWithCache, r.RoundsWithoutCache)
 	fmt.Fprintf(&b, "train time      with cache %-12s without %s\n", r.TimeWithCache, r.TimeWithoutCache)
 	fmt.Fprintf(&b, "mean loss       with cache %-12.2f without %.2f\n", r.LossWithCache, r.LossWithoutCache)
 	return b.String()
@@ -77,15 +83,21 @@ func Reuse(opts Options) (*ReuseResult, error) {
 	lossCached, lossFresh := 0.0, 0.0
 	scoredCached, scoredFresh := 0, 0
 	for _, q := range workload {
-		res, reused, err := env.Fleet.Leader.ExecuteWithReuse(cache, q, sel, federation.WeightedAveraging)
+		res, kind, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.WeightedAveraging,
+			Cache:       cache,
+		})
 		if err != nil {
 			continue
 		}
 		out.Queries++
-		if reused {
+		if kind.Reused() {
 			hits++
 		} else {
 			out.TimeWithCache += res.Stats.TrainTime
+			out.RoundsWithCache += len(res.NodeRounds)
 		}
 		// Score the served model on THIS query's test subspace.
 		served := *res
@@ -96,11 +108,16 @@ func Reuse(opts Options) (*ReuseResult, error) {
 		}
 
 		// Baseline: always train fresh.
-		fresh, err := env.Fleet.Execute(q, sel, federation.WeightedAveraging)
+		fresh, _, err := env.Fleet.Leader.Execute(context.Background(), federation.Request{
+			Query:       q,
+			Selector:    sel,
+			Aggregation: federation.WeightedAveraging,
+		})
 		if err != nil {
 			continue
 		}
 		out.TimeWithoutCache += fresh.Stats.TrainTime
+		out.RoundsWithoutCache += len(fresh.NodeRounds)
 		if mse, _, ok := federation.EvaluateResult(fresh, env.Fleet.Test); ok {
 			lossFresh += mse
 			scoredFresh++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -108,7 +109,7 @@ func Temporal(opts Options) (*TemporalResult, error) {
 	for _, arm := range arms {
 		total, executed := 0.0, 0
 		for _, q := range workload {
-			r, err := leader.Execute(q, arm.sel, arm.agg)
+			r, _, err := leader.Execute(context.Background(), federation.Request{Query: q, Selector: arm.sel, Aggregation: arm.agg})
 			if err != nil {
 				continue
 			}

@@ -51,7 +51,7 @@ func TestAdaptiveApproxServes(t *testing.T) {
 	}
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
 
-	res1, kind, err := fleet.Leader.ExecuteAdaptiveContext(ctxb(), cache, midQuery(t), sel, WeightedAveraging)
+	res1, kind, err := fleet.Leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAdaptiveApproxServes(t *testing.T) {
 	// Shrunk query: IoU with [10,40] is 20/30 < 0.9 (exact miss) but the
 	// training rectangles blanket it.
 	inner, _ := query.New("q-inner", geometry.MustRect([]float64{15, -50}, []float64{35, 150}))
-	res2, kind, err := fleet.Leader.ExecuteAdaptiveContext(ctxb(), cache, inner, sel, WeightedAveraging)
+	res2, kind, err := fleet.Leader.Execute(ctxb(), Request{Query: inner, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,12 @@ func TestAdaptiveApproxServes(t *testing.T) {
 
 	// A far-away query must fall through to training (fallback).
 	far, _ := query.New("q-far", geometry.MustRect([]float64{60, 50}, []float64{90, 200}))
-	if _, kind, err = fleet.Leader.ExecuteAdaptiveContext(ctxb(), cache, far, sel, WeightedAveraging); err != nil {
+	if _, kind, err = fleet.Leader.Execute(ctxb(), Request{
+		Query:       far,
+		Selector:    sel,
+		Aggregation: WeightedAveraging,
+		Cache:       cache,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if kind != ServeFresh {
@@ -106,13 +111,13 @@ func TestAdaptiveProbeTrainsAndScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res1, _, err := fleet.Leader.ExecuteAdaptiveContext(ctxb(), cache, midQuery(t), sel, WeightedAveraging)
+	res1, _, err := fleet.Leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	inner, _ := query.New("q-inner", geometry.MustRect([]float64{15, -50}, []float64{35, 150}))
-	res2, kind, err := fleet.Leader.ExecuteAdaptiveContext(ctxb(), cache, inner, sel, WeightedAveraging)
+	res2, kind, err := fleet.Leader.Execute(ctxb(), Request{Query: inner, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +241,7 @@ func (c *seedReuseCache) store(res *Result) {
 
 // TestAdaptiveDisabledGoldenReplay replays a 200-query bursty workload
 // through two identically seeded fleets: one on the seed-era serving
-// loop (linear-scan cache reimplemented above + ExecuteContext), one on
+// loop (linear-scan cache reimplemented above + uncached Execute), one on
 // the rewritten pipeline with the approximate tier disabled. Every
 // decision (hit vs train), every participant list and every trained
 // parameter must be bit-exact — the R-tree lookup, the Store rewrite
@@ -282,18 +287,18 @@ func TestAdaptiveDisabledGoldenReplay(t *testing.T) {
 			cur.Leader.InvalidateSummaries()
 		}
 
-		// Reference: the seed's ExecuteWithReuseContext inlined.
+		// Reference: the seed's exact-reuse path inlined.
 		refEpoch := ref.Leader.Registry().ReuseEpoch()
 		refRes, refReused := refCache.lookup(q, refEpoch)
 		var refErr error
 		if !refReused {
-			refRes, refErr = ref.Leader.ExecuteContext(ctxb(), q, sel, WeightedAveraging)
+			refRes, _, refErr = ref.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging})
 			if refErr == nil {
 				refCache.store(refRes)
 			}
 		}
 
-		curRes, curReused, curErr := cur.Leader.ExecuteWithReuse(curCache, q, sel, WeightedAveraging)
+		curRes, curKind, curErr := cur.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Cache: curCache})
 
 		if (refErr == nil) != (curErr == nil) {
 			t.Fatalf("q%d: error divergence: ref=%v cur=%v", i, refErr, curErr)
@@ -301,8 +306,8 @@ func TestAdaptiveDisabledGoldenReplay(t *testing.T) {
 		if refErr != nil {
 			continue
 		}
-		if refReused != curReused {
-			t.Fatalf("q%d: reuse decision diverged: ref=%v cur=%v", i, refReused, curReused)
+		if refReused != curKind.Reused() {
+			t.Fatalf("q%d: reuse decision diverged: ref=%v cur=%v", i, refReused, curKind.Reused())
 		}
 		if len(refRes.Participants) != len(curRes.Participants) {
 			t.Fatalf("q%d: participant count %d vs %d", i, len(refRes.Participants), len(curRes.Participants))

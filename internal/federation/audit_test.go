@@ -18,7 +18,7 @@ func TestAuditLogRoundTrip(t *testing.T) {
 	q := midQuery(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
 	for i := 0; i < 3; i++ {
-		res, err := fleet.Execute(q, sel, WeightedAveraging)
+		res, _, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,7 +113,7 @@ func BenchmarkReuseReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, q := range queries {
-					res, kind, err := fleet.Leader.ExecuteAdaptiveContext(ctx, cache, q, sel, WeightedAveraging)
+					res, kind, err := fleet.Leader.Execute(ctx, Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -9,7 +9,6 @@ import (
 
 	"qens/internal/geometry"
 	"qens/internal/query"
-	"qens/internal/selection"
 	"qens/internal/telemetry"
 )
 
@@ -644,37 +643,18 @@ func (c *ReuseCache) CacheStats() ReuseCacheStats {
 	}
 }
 
-// ExecuteWithReuse answers the query from the cache when possible and
-// otherwise runs the normal Execute, storing the fresh result. reused
-// reports which path was taken.
-func (l *Leader) ExecuteWithReuse(cache *ReuseCache, q query.Query, sel selection.Selector, agg Aggregation) (res *Result, reused bool, err error) {
-	return l.ExecuteWithReuseContext(context.Background(), cache, q, sel, agg)
-}
-
-// ExecuteWithReuseContext is ExecuteWithReuse with deadline and
-// cancellation support; cache hits are served even for an expired
-// context since they cost nothing. Lookups are fenced by the registry's
-// reuse epoch: after InvalidateSummaries (or a node drift signal) the
-// epoch advances and results trained against the old advertisement stop
-// matching, fixing the stale-ensemble leak of the unversioned cache.
-func (l *Leader) ExecuteWithReuseContext(ctx context.Context, cache *ReuseCache, q query.Query, sel selection.Selector, agg Aggregation) (res *Result, reused bool, err error) {
-	r, kind, err := l.ExecuteAdaptiveContext(ctx, cache, q, sel, agg)
-	if err != nil {
-		return nil, false, err
-	}
-	return r, kind.Reused(), nil
-}
-
-// ExecuteAdaptiveContext is the full adaptive serving pipeline: exact
-// reuse, then (when configured) the approximate model-answer tier with
-// its deterministic probe schedule, then federated training. With the
-// approximate tier disabled it is step-for-step identical to the
-// original reuse path — same lookups, same RNG draws, same stores — so
-// seeded replays stay bit-exact.
-func (l *Leader) ExecuteAdaptiveContext(ctx context.Context, cache *ReuseCache, q query.Query, sel selection.Selector, agg Aggregation) (*Result, ServeKind, error) {
-	if cache == nil {
-		return nil, ServeFresh, fmt.Errorf("federation: nil reuse cache")
-	}
+// serveCached is the adaptive serving pipeline behind a Request with a
+// Cache: exact reuse, then (when configured) the approximate
+// model-answer tier with its deterministic probe schedule, then
+// federated training. Cache hits are served even for an expired
+// context since they cost nothing. Lookups are fenced by the
+// registry's reuse epoch: after InvalidateSummaries (or a node drift
+// signal) the epoch advances and results trained against the old
+// advertisement stop matching. With the approximate tier disabled it
+// is step-for-step the original exact-reuse path — same lookups, same
+// RNG draws, same stores — so seeded replays stay bit-exact.
+func (l *Leader) serveCached(ctx context.Context, req Request) (*Result, ServeKind, error) {
+	cache, q := req.Cache, req.Query
 	epoch := l.reg.ReuseEpoch()
 	if hit, ok := cache.LookupEpoch(q, epoch); ok {
 		return hit, ServeExact, nil
@@ -682,7 +662,7 @@ func (l *Leader) ExecuteAdaptiveContext(ctx context.Context, cache *ReuseCache, 
 	if cache.approx.Enabled() {
 		if ent, pred, ok := cache.lookupApprox(q, epoch); ok {
 			if cache.probeDue() {
-				res, err := l.ExecuteContext(ctx, q, sel, agg)
+				res, err := l.execute(ctx, req)
 				if err == nil {
 					realized := ensembleDivergence(ent.res.Ensemble, res.Ensemble, q, l.cfg.Spec.InputDim)
 					cache.recordProbe(ent, pred, realized)
@@ -697,7 +677,7 @@ func (l *Leader) ExecuteAdaptiveContext(ctx context.Context, cache *ReuseCache, 
 		}
 		cache.recordFallback()
 	}
-	res, err := l.ExecuteContext(ctx, q, sel, agg)
+	res, err := l.execute(ctx, req)
 	if err != nil {
 		return nil, ServeFresh, err
 	}

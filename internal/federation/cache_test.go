@@ -29,11 +29,11 @@ func TestReuseCacheHitAndMiss(t *testing.T) {
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
 	q := midQuery(t)
 
-	res1, reused, err := fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+	res1, kind, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
+	if kind.Reused() {
 		t.Fatal("first execution cannot be a cache hit")
 	}
 	if cache.Len() != 1 {
@@ -43,11 +43,11 @@ func TestReuseCacheHitAndMiss(t *testing.T) {
 	// An almost identical query must hit.
 	near, _ := query.New("q-near", geometry.MustRect(
 		[]float64{10.5, -50}, []float64{40, 150}))
-	res2, reused, err := fleet.Leader.ExecuteWithReuse(cache, near, sel, WeightedAveraging)
+	res2, kind, err := fleet.Leader.Execute(ctxb(), Request{Query: near, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reused {
+	if !kind.Reused() {
 		t.Fatal("near-identical query missed the cache")
 	}
 	if res2 != res1 {
@@ -57,11 +57,11 @@ func TestReuseCacheHitAndMiss(t *testing.T) {
 	// A far-away query (still supported by the fleet) must miss.
 	far, _ := query.New("q-far", geometry.MustRect(
 		[]float64{60, 50}, []float64{90, 200}))
-	_, reused, err = fleet.Leader.ExecuteWithReuse(cache, far, sel, WeightedAveraging)
+	_, kind, err = fleet.Leader.Execute(ctxb(), Request{Query: far, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
+	if kind.Reused() {
 		t.Fatal("disjoint query hit the cache")
 	}
 	hits, misses := cache.Stats()
@@ -153,27 +153,32 @@ func TestExecuteWithReuseEpochInvalidation(t *testing.T) {
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
 	q := midQuery(t)
 
-	res1, reused, err := fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+	res1, kind, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
+	if kind.Reused() {
 		t.Fatal("first execution cannot be a hit")
 	}
 	if res1.Epoch == 0 {
 		t.Fatal("result missing the advertisement epoch stamp")
 	}
-	if _, reused, _ = fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging); !reused {
+	if _, kind, _ = fleet.Leader.Execute(ctxb(), Request{
+		Query:       q,
+		Selector:    sel,
+		Aggregation: WeightedAveraging,
+		Cache:       cache,
+	}); !kind.Reused() {
 		t.Fatal("identical query at the same epoch must hit")
 	}
 
 	fleet.Leader.InvalidateSummaries()
 
-	res2, reused, err := fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+	res2, kind, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
+	if kind.Reused() {
 		t.Fatal("post-invalidation query served the stale ensemble")
 	}
 	if res2.Epoch <= res1.Epoch {
@@ -181,7 +186,12 @@ func TestExecuteWithReuseEpochInvalidation(t *testing.T) {
 	}
 	// The fresh result replaced the stale generation in the cache and
 	// now serves hits at the new epoch.
-	if _, reused, _ = fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging); !reused {
+	if _, kind, _ = fleet.Leader.Execute(ctxb(), Request{
+		Query:       q,
+		Selector:    sel,
+		Aggregation: WeightedAveraging,
+		Cache:       cache,
+	}); !kind.Reused() {
 		t.Fatal("retrained result not cached at the new epoch")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // Every method takes a context.Context carrying the originating
 // query's deadline and cancellation: the serving path
 // (internal/gateway) threads a per-request context from the HTTP
-// handler through Leader.ExecuteContext down to the wire, so an
+// handler through Leader.Execute down to the wire, so an
 // expired query stops consuming node compute as early as possible.
 // Implementations must return promptly with ctx.Err() (or an error
 // wrapping it) once the context is done.

@@ -14,7 +14,7 @@ import (
 )
 
 // TestConcurrentExecute hammers one leader from many goroutines mixing
-// Execute, ExecuteParallel and ExecuteWithReuse — the contract the
+// plain, FedAvg, cached and random-selector requests — the contract the
 // gateway's worker pool depends on. Run under -race (make check does)
 // this validates the shared-RNG locking and the summary/warm-up cache
 // guards.
@@ -51,13 +51,13 @@ func TestConcurrentExecute(t *testing.T) {
 				var err error
 				switch (g + i) % 4 {
 				case 0:
-					_, err = fleet.Leader.Execute(q, sel, WeightedAveraging)
+					_, _, err = fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging})
 				case 1:
-					_, err = fleet.Leader.ExecuteParallel(q, sel, ModelAveraging)
+					_, _, err = fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: ModelAveraging, Rounds: 2})
 				case 2:
-					_, _, err = fleet.Leader.ExecuteWithReuse(cache, q, sel, WeightedAveraging)
+					_, _, err = fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Cache: cache})
 				case 3:
-					_, err = fleet.Leader.Execute(q, rnd, ModelAveraging)
+					_, _, err = fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: rnd, Aggregation: ModelAveraging})
 				}
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d (%s): %w", g, i, q.ID, err)
@@ -85,7 +85,7 @@ func TestConcurrentExecuteWithColdCaches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := fleet.Leader.Execute(q, sel, ModelAveraging); err != nil {
+			if _, _, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: ModelAveraging}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -100,18 +100,19 @@ func TestExecuteContextExpired(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 	start := time.Now()
-	_, err := fleet.Leader.ExecuteContext(ctx, midQuery(t), selection.AllNodes{}, ModelAveraging)
+	_, _, err := fleet.Leader.Execute(ctx, Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("expired query did not return promptly")
 	}
-	_, err = fleet.Leader.ExecuteParallelContext(ctx, midQuery(t), selection.AllNodes{}, ModelAveraging)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("parallel err = %v, want context.DeadlineExceeded", err)
-	}
-	if _, err := fleet.Leader.ExecuteRoundsContext(ctx, midQuery(t), selection.AllNodes{}, 2); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := fleet.Leader.Execute(ctx, Request{
+		Query:       midQuery(t),
+		Selector:    selection.AllNodes{},
+		Aggregation: WeightedAveraging,
+		Rounds:      2,
+	}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("rounds err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -124,7 +125,7 @@ func TestExecuteContextCancelMidQuery(t *testing.T) {
 	cancel()
 	// LocalClient checks ctx before each round; with a canceled ctx
 	// selection itself may run but no training must complete.
-	res, err := fleet.Leader.ExecuteContext(ctx, midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, _, err := fleet.Leader.Execute(ctx, Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err == nil {
 		t.Fatalf("expected error, got result with %d params", len(res.LocalParams))
 	}

@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,9 +38,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := fleet.Execute(q,
-		selection.QueryDriven{Epsilon: 0.6, TopL: 2},
-		federation.WeightedAveraging)
+	res, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
+		Query:       q,
+		Selector:    selection.QueryDriven{Epsilon: 0.6, TopL: 2},
+		Aggregation: federation.WeightedAveraging,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,10 +51,10 @@ func Example() {
 	// Output: selected 2 participants, used 9% of federation data
 }
 
-// ExampleLeader_ExecuteRounds shows multi-round FedAvg training: the
+// ExampleLeader_Execute_rounds shows multi-round FedAvg training: the
 // leader re-distributes the parameter average between rounds and the
 // per-round deltas trace convergence.
-func ExampleLeader_ExecuteRounds() {
+func ExampleLeader_Execute_rounds() {
 	data, _ := dataset.PaperNodeDatasets(dataset.Config{
 		Nodes: 4, SamplesPerNode: 400, Seed: 5,
 	})
@@ -63,10 +66,15 @@ func ExampleLeader_ExecuteRounds() {
 	}
 	space, _ := fleet.Space()
 	q, _ := query.Uniform(space, rng.New(9))
-	res, err := fleet.Leader.ExecuteRounds(q, selection.QueryDriven{Epsilon: 0.6, TopL: 2}, 3)
+	res, _, err := fleet.Leader.Execute(context.Background(), federation.Request{
+		Query:       q,
+		Selector:    selection.QueryDriven{Epsilon: 0.6, TopL: 2},
+		Aggregation: federation.WeightedAveraging,
+		Rounds:      3,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rounds=%d, single global model: %v\n", res.Rounds, res.Ensemble.Size() == 1)
+	fmt.Printf("rounds=%d, single global model: %v\n", len(res.RoundDeltas), res.Ensemble.Size() == 1)
 	// Output: rounds=3, single global model: true
 }

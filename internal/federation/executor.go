@@ -4,202 +4,226 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"qens/internal/ml"
 	"qens/internal/plan"
 	"qens/internal/registry"
 	"qens/internal/selection"
 	"qens/internal/telemetry"
 )
 
-// Executor is the I/O-bound half of the query pipeline: given an
-// immutable Plan it distributes the initial global model, drives one
-// training round per selected participant (sequentially or fanned
-// out), watches the responses for node-side advertisement drift, and
-// aggregates the local models into the query's ensemble. It holds no
-// state of its own beyond the leader reference, so one Executor serves
-// all concurrent queries.
-type Executor struct {
-	l *Leader
+// maxInFlightRounds caps the training rounds one fan-out keeps in
+// flight. It bounds goroutines, not work: an AllNodes plan over a large
+// fleet still trains every participant, this many at a time.
+const maxInFlightRounds = 64
+
+// RoundOutcome is one participant's outcome from a training fan-out:
+// the raw training response plus the leader-observed wall time and the
+// failure (nil on success).
+type RoundOutcome struct {
+	NodeID  string
+	Resp    TrainResponse
+	Elapsed time.Duration
+	Err     error
+	// cancelled marks a round the leader cancelled after a sibling
+	// failed, or never started because the fan-out was already
+	// cancelled. It is not charged to the node's health.
+	cancelled bool
 }
 
-// NewExecutor builds an executor bound to the leader's fleet.
-func NewExecutor(l *Leader) *Executor {
-	return &Executor{l: l}
-}
-
-// Run executes the plan sequentially (one training round at a time).
-// The returned Result owns deep copies of the plan's participants, so
-// releasing the plan afterwards is safe.
-func (e *Executor) Run(ctx context.Context, pl *plan.Plan, agg Aggregation) (_ *Result, retErr error) {
-	return e.trace(ctx, pl, agg, false)
-}
-
-// RunParallel executes the plan with the training fan-out running
-// concurrently across participants — the deployment-realistic mode for
-// TCP clients.
-func (e *Executor) RunParallel(ctx context.Context, pl *plan.Plan, agg Aggregation) (_ *Result, retErr error) {
-	return e.trace(ctx, pl, agg, true)
-}
-
-// trace wraps run with its own root span and wall-clock accounting for
-// callers that executed a pre-built plan directly (the leader's
-// Execute* methods manage their own spans and call run).
-func (e *Executor) trace(ctx context.Context, pl *plan.Plan, agg Aggregation, parallel bool) (_ *Result, retErr error) {
-	if pl == nil {
-		return nil, fmt.Errorf("federation: execute: nil plan")
+// fanOut trains every participant once from the request template tmpl
+// (Clusters is filled in per participant) and returns the outcomes in
+// participant order, also alongside an error. Rounds run concurrently, at most
+// maxInFlightRounds at a time. Nothing about one node's round depends
+// on another's (§IV-B), so the schedule never changes the numbers.
+//
+// When qspan is non-nil each round gets a "train" child span whose IDs
+// replace tmpl's trace context, and the node-side spans are folded in
+// under it; otherwise tmpl's trace context goes to every node verbatim
+// and the node spans stay in the responses.
+//
+// Without tolerate, the first failure cancels its siblings and the
+// returned error wraps that node's error. With tolerate, every round
+// runs to completion and failures are only reported in the outcomes.
+// Either way, a failure once the caller's ctx has ended returns
+// ctx.Err(). Every round the leader did not cancel feeds the round
+// metrics, the node's health EWMAs and registry drift signalling.
+func (l *Leader) fanOut(ctx context.Context, qspan *telemetry.SpanHandle, round int, tmpl TrainRequest, parts []selection.Participant, tolerate bool) ([]RoundOutcome, error) {
+	outs := make([]RoundOutcome, len(parts))
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	worker := func() {
+		defer wg.Done()
+		for i := int(next.Add(1) - 1); i < len(parts); i = int(next.Add(1) - 1) {
+			o := &outs[i]
+			if err := fctx.Err(); err != nil {
+				*o = RoundOutcome{NodeID: parts[i].NodeID, Err: err, cancelled: true}
+				continue
+			}
+			*o = l.trainOne(fctx, qspan, round, tmpl, parts[i])
+			if o.Err == nil || tolerate {
+				continue
+			}
+			mu.Lock()
+			if firstErr == nil && fctx.Err() == nil {
+				firstErr = fmt.Errorf("federation: training on %s: %w", o.NodeID, o.Err)
+				cancel()
+			} else if ctx.Err() == nil {
+				o.cancelled = true
+			}
+			mu.Unlock()
+		}
 	}
+	workers := min(len(parts), maxInFlightRounds)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go worker()
+	}
+	wg.Wait()
+
+	failed := false
+	for i := range outs {
+		o := &outs[i]
+		failed = failed || o.Err != nil
+		if o.cancelled {
+			continue
+		}
+		l.metrics.round(o.NodeID, o.Elapsed)
+		if o.Err != nil {
+			l.health.ObserveRound(o.NodeID, o.Elapsed, o.Err.Error())
+			continue
+		}
+		l.health.ObserveRound(o.NodeID, o.Elapsed, "")
+		l.signalEpoch(o.NodeID, o.Resp.SummaryEpoch)
+	}
+	if firstErr != nil {
+		return outs, firstErr
+	}
+	if err := ctx.Err(); err != nil && failed {
+		return outs, err
+	}
+	return outs, nil
+}
+
+// trainOne runs one participant's training round.
+func (l *Leader) trainOne(ctx context.Context, qspan *telemetry.SpanHandle, round int, req TrainRequest, p selection.Participant) RoundOutcome {
 	start := time.Now()
-	qspan := e.l.activeTracer().StartTrace("query")
-	qspan.SetAttr("query", pl.Query.ID)
-	qspan.SetAttr("selector", pl.Selector)
-	defer func() { qspan.End(retErr) }()
-	res, err := e.run(ctx, qspan, pl, agg, parallel)
-	if err != nil {
-		return nil, err
+	o := RoundOutcome{NodeID: p.NodeID}
+	c, err := l.client(p.NodeID)
+	if err == nil {
+		req.Clusters = p.Clusters
+		tspan := startTrainSpan(qspan, p.NodeID, round)
+		if tspan != nil {
+			req.TraceID, req.SpanID = tspan.TraceID(), tspan.SpanID()
+		}
+		o.Resp, err = c.Train(ctx, req)
+		recordNodeSpans(l.activeTracer(), tspan, p.NodeID, o.Resp.Spans)
+		tspan.End(err)
 	}
-	res.Stats.WallTime = time.Since(start)
-	e.l.metrics.query(pl.Selector, 0, len(res.Failed))
-	return res, nil
+	o.Elapsed = time.Since(start)
+	o.Err = err
+	return o
 }
 
-// run is the shared execution core. It fills everything in the Result
-// except SelectionTime and WallTime, which belong to the caller's
-// accounting scope.
-func (e *Executor) run(ctx context.Context, qspan *telemetry.SpanHandle, pl *plan.Plan, agg Aggregation, parallel bool) (*Result, error) {
-	l := e.l
-
-	// Initial global model w.
+// run is the execution stage for one planned query: it draws the
+// initial global model w, trains it on every participant (one round,
+// or `rounds` FedAvg rounds) and aggregates. It fills everything in the
+// Result except SelectionTime and WallTime, which belong to the
+// caller's accounting scope. The Result owns deep copies of the plan's
+// participants, so releasing the plan afterwards is safe.
+func (l *Leader) run(ctx context.Context, qspan *telemetry.SpanHandle, pl *plan.Plan, agg Aggregation, rounds int) (*Result, error) {
 	spec := l.cfg.Spec
 	spec.Seed = uint64(l.src.Int63())
 	global, err := spec.New()
 	if err != nil {
 		return nil, err
 	}
-	initial := global.Params()
-	paramBytes := int64(8 * len(initial.Values))
-
-	participants := pl.CopyParticipants()
 	res := &Result{
 		Query:        pl.Query,
 		Epoch:        pl.Epoch,
 		Selector:     pl.Selector,
 		Aggregation:  agg,
-		Participants: participants,
+		Participants: pl.CopyParticipants(),
 	}
 	if snap := pl.Snapshot(); snap != nil {
 		res.Stats.SamplesAllNodes = snap.TotalSamples
-		captureTrainingBounds(res, snap, participants)
+		captureTrainingBounds(res, snap, res.Participants)
 	}
-
-	type trainOut struct {
-		resp    TrainResponse
-		elapsed time.Duration
-		err     error
-	}
-	outs := make([]trainOut, len(participants))
-
-	if parallel {
-		var wg sync.WaitGroup
-		for i, p := range participants {
-			wg.Add(1)
-			go func(i int, p participantRef) {
-				defer wg.Done()
-				roundStart := time.Now()
-				c, err := l.client(p.NodeID)
-				if err != nil {
-					outs[i] = trainOut{err: err, elapsed: time.Since(roundStart)}
-					return
-				}
-				tspan := startTrainSpan(qspan, p.NodeID, 0)
-				resp, err := c.Train(ctx, TrainRequest{
-					Spec:        l.cfg.Spec,
-					Params:      initial,
-					Clusters:    p.Clusters,
-					LocalEpochs: l.cfg.LocalEpochs,
-					TraceID:     tspan.TraceID(),
-					SpanID:      tspan.SpanID(),
-				})
-				recordNodeSpans(l.activeTracer(), tspan, p.NodeID, resp.Spans)
-				tspan.End(err)
-				outs[i] = trainOut{resp: resp, err: err, elapsed: time.Since(roundStart)}
-			}(i, participantRef{NodeID: p.NodeID, Clusters: p.Clusters})
-		}
-		wg.Wait()
+	if rounds > 1 {
+		err = l.fedAvg(ctx, qspan, res, global.Params(), rounds)
 	} else {
-		for i, p := range participants {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			tspan := startTrainSpan(qspan, p.NodeID, 0)
-			roundStart := time.Now()
-			resp, err := l.trainOn(ctx, p, initial, tspan)
-			elapsed := time.Since(roundStart)
-			recordNodeSpans(l.activeTracer(), tspan, p.NodeID, resp.Spans)
-			tspan.End(err)
-			outs[i] = trainOut{resp: resp, err: err, elapsed: elapsed}
-			if err != nil && !l.cfg.TolerateFailures {
-				// Mirror the legacy sequential contract: abort on the
-				// first failure without contacting later participants.
-				l.metrics.round(p.NodeID, elapsed)
-				l.health.ObserveRound(p.NodeID, elapsed, err.Error())
-				res.NodeRounds = append(res.NodeRounds, NodeRound{
-					NodeID: p.NodeID, Elapsed: elapsed, Err: err.Error(),
-				})
-				return nil, fmt.Errorf("federation: training on %s: %w", p.NodeID, err)
-			}
-		}
+		err = l.singleRound(ctx, qspan, res, global.Params())
 	}
-
-	// Collect outcomes in participant order. A failed round aborts the
-	// query unless Config.TolerateFailures is set, in which case the
-	// failure stays visible in NodeRounds/Failed and the survivors form
-	// the ensemble.
-	ranks := make([]float64, 0, len(participants))
-	var firstErr error
-	for i, o := range outs {
-		p := participants[i]
-		round := NodeRound{NodeID: p.NodeID, Elapsed: o.elapsed}
-		l.metrics.round(p.NodeID, o.elapsed)
-		if o.err != nil {
-			round.Err = o.err.Error()
-			l.health.ObserveRound(p.NodeID, o.elapsed, round.Err)
-			res.NodeRounds = append(res.NodeRounds, round)
-			if l.cfg.TolerateFailures {
-				res.Failed = append(res.Failed, p.NodeID)
-				continue
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("federation: training on %s: %w", p.NodeID, o.err)
-			}
-			continue
-		}
-		l.health.ObserveRound(p.NodeID, o.elapsed, "")
-		e.observeEpoch(p.NodeID, o.resp.SummaryEpoch)
-		res.NodeRounds = append(res.NodeRounds, round)
-		res.LocalParams = append(res.LocalParams, o.resp.Params)
-		ranks = append(ranks, p.Rank)
-		res.Stats.TrainTime += o.resp.TrainTime
-		res.Stats.SamplesUsed += o.resp.SamplesUsed
-		res.Stats.SamplesSelectedNodes += o.resp.TotalSamples
-		res.Stats.BytesUp += paramBytes
-		res.Stats.BytesDown += int64(8 * len(o.resp.Params.Values))
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if len(res.LocalParams) == 0 {
-		return nil, fmt.Errorf("federation: every selected participant failed for %s", pl.Query.ID)
-	}
-
-	aggSpan := qspan.Child("aggregation")
-	ensemble, err := NewEnsemble(l.cfg.Spec, res.LocalParams, ranks, agg)
-	aggSpan.End(err)
 	if err != nil {
 		return nil, err
 	}
-	res.Ensemble = ensemble
 	return res, nil
+}
+
+// singleRound is the paper's §IV-B loop: every participant trains the
+// initial model once over its supporting clusters, and the local
+// models form the Eq. 6/7 ensemble. A failed round aborts the query
+// unless Config.TolerateFailures is set, in which case the failure
+// stays visible in NodeRounds/Failed and the survivors form the
+// ensemble.
+func (l *Leader) singleRound(ctx context.Context, qspan *telemetry.SpanHandle, res *Result, initial ml.Params) error {
+	outs, err := l.fanOut(ctx, qspan, 0, l.trainRequest(initial), res.Participants, l.cfg.TolerateFailures)
+	if err != nil {
+		return err
+	}
+	paramBytes := int64(8 * len(initial.Values))
+	ranks := make([]float64, 0, len(outs))
+	for i, o := range outs {
+		round := NodeRound{NodeID: o.NodeID, Elapsed: o.Elapsed}
+		if o.Err != nil {
+			round.Err = o.Err.Error()
+			res.NodeRounds = append(res.NodeRounds, round)
+			res.Failed = append(res.Failed, o.NodeID)
+			continue
+		}
+		res.NodeRounds = append(res.NodeRounds, round)
+		res.Stats.addRound(o.Resp, paramBytes, true)
+		res.LocalParams = append(res.LocalParams, o.Resp.Params)
+		ranks = append(ranks, res.Participants[i].Rank)
+	}
+	if len(res.LocalParams) == 0 {
+		return fmt.Errorf("federation: every selected participant failed for %s", res.Query.ID)
+	}
+	aggSpan := qspan.Child("aggregation")
+	ensemble, err := NewEnsemble(l.cfg.Spec, res.LocalParams, ranks, res.Aggregation)
+	aggSpan.End(err)
+	if err != nil {
+		return err
+	}
+	res.Ensemble = ensemble
+	return nil
+}
+
+// trainRequest is the per-query training request every participant
+// receives, before its supporting clusters are filled in.
+func (l *Leader) trainRequest(params ml.Params) TrainRequest {
+	return TrainRequest{Spec: l.cfg.Spec, Params: params, LocalEpochs: l.cfg.LocalEpochs}
+}
+
+// addRound accounts one successful training round. first marks the
+// participant's first round of the query, the only one whose data
+// counts toward SamplesSelectedNodes.
+func (s *Stats) addRound(resp TrainResponse, paramBytes int64, first bool) {
+	s.TrainTime += resp.TrainTime
+	s.SamplesUsed += resp.SamplesUsed
+	if first {
+		s.SamplesSelectedNodes += resp.TotalSamples
+	}
+	s.BytesUp += paramBytes
+	s.BytesDown += int64(8 * len(resp.Params.Values))
 }
 
 // captureTrainingBounds copies the supporting-cluster rectangles of
@@ -239,22 +263,4 @@ func captureTrainingBounds(res *Result, snap *registry.Snapshot, participants []
 	if len(res.TrainMins) > 0 {
 		res.TrainDims = d
 	}
-}
-
-// participantRef is the copy handed to training goroutines (avoids
-// capturing the loop variable's backing Participant).
-type participantRef struct {
-	NodeID   string
-	Clusters []int
-}
-
-// observeEpoch feeds a node-reported advertisement version back into
-// the registry: when it is newer than the snapshot the plan was built
-// from, the node requantized mid-flight (data drift) and the registry
-// is invalidated so the next query replans against fresh summaries.
-func (e *Executor) observeEpoch(nodeID string, epoch uint64) {
-	if epoch == 0 {
-		return
-	}
-	e.l.reg.SignalNodeEpoch(nodeID, epoch)
 }

@@ -74,7 +74,7 @@ func failureFleet(t *testing.T, tolerate bool) (*Leader, []*Node, *dataset.Datas
 
 func TestExecuteAbortsOnFailureByDefault(t *testing.T) {
 	leader, _, _ := failureFleet(t, false)
-	_, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	_, _, err := leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err == nil {
 		t.Fatal("expected failure to abort the query")
 	}
@@ -82,7 +82,7 @@ func TestExecuteAbortsOnFailureByDefault(t *testing.T) {
 
 func TestExecuteToleratesFailures(t *testing.T) {
 	leader, _, test := failureFleet(t, true)
-	res, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, _, err := leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,11 @@ func TestExecuteFailsWhenAllParticipantsFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging); err == nil {
+	if _, _, err := leader.Execute(ctxb(), Request{
+		Query:       midQuery(t),
+		Selector:    selection.AllNodes{},
+		Aggregation: ModelAveraging,
+	}); err == nil {
 		t.Fatal("all-failed query must error even with tolerance")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"qens/internal/geometry"
 	"qens/internal/query"
 	"qens/internal/rng"
-	"qens/internal/selection"
 )
 
 // Fleet bundles a leader with its in-process participant nodes plus
@@ -98,10 +97,4 @@ func (f *Fleet) Space() (geometry.Rect, error) {
 		bounds = append(bounds, node)
 	}
 	return query.GlobalSpace(bounds)
-}
-
-// Execute runs a query and returns the result; a convenience wrapper
-// over the leader.
-func (f *Fleet) Execute(q query.Query, sel selection.Selector, agg Aggregation) (*Result, error) {
-	return f.Leader.Execute(q, sel, agg)
 }

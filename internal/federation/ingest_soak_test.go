@@ -169,8 +169,8 @@ func TestIngestDisabledGoldenStatelessSelectors(t *testing.T) {
 				queries = append(queries, q)
 			}
 			for _, q := range queries {
-				a, errA := plain.Execute(q, sel, WeightedAveraging)
-				b, errB := pushy.Execute(q, sel, WeightedAveraging)
+				a, _, errA := plain.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging})
+				b, _, errB := pushy.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging})
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("error divergence: %v vs %v", errA, errB)
 				}

@@ -30,10 +30,11 @@ type Config struct {
 	// LocalEpochs is the paper's E: local iterations per supporting
 	// cluster (default 5).
 	LocalEpochs int
-	// TolerateFailures makes Execute skip participants whose
-	// training round fails (network drop, bad state) instead of
+	// TolerateFailures makes a single-round Execute skip participants
+	// whose training round fails (network drop, bad state) instead of
 	// aborting the query, as long as at least one participant
 	// succeeds. The failed node ids are recorded in Result.Failed.
+	// FedAvg rounds always abort on a failure.
 	TolerateFailures bool
 	// Seed drives the leader's stochastic choices (random
 	// selection, model init).
@@ -100,9 +101,9 @@ func (c Config) Validate() error {
 // model, reuse-cache entries, plan fingerprints — is keyed to that
 // epoch and dies with it when the registry refreshes.
 //
-// A Leader is safe for concurrent callers: Execute, ExecuteParallel,
-// ExecuteRounds and ExecuteWithReuse may run simultaneously from many
-// goroutines (the serving path in internal/gateway depends on this).
+// A Leader is safe for concurrent callers: Execute may run
+// simultaneously from many goroutines, with or without a cache or
+// FedAvg rounds (the serving path in internal/gateway depends on this).
 // The shared RNG is internally locked (see internal/rng), the summary
 // registry publishes copy-on-write snapshots, and the stateful
 // selectors (Fairness, Contribution, Adaptive) lock internally.
@@ -114,7 +115,6 @@ type Leader struct {
 
 	reg     *registry.Registry // versioned advertisement store
 	planner *plan.Planner      // pure-CPU planning stage
-	exec    *Executor          // I/O-bound execution stage
 
 	warmupMu    sync.Mutex
 	warmup      *ml.Params // cached §II warm-up model
@@ -165,7 +165,6 @@ func NewLeader(cfg Config, leaderData *dataset.Dataset, clients []Client) (*Lead
 	}
 	l.reg = reg
 	l.planner = plan.NewPlanner(reg)
-	l.exec = NewExecutor(l)
 	return l, nil
 }
 
@@ -269,9 +268,6 @@ func (l *Leader) Registry() *registry.Registry { return l.reg }
 
 // Planner exposes the pure-CPU planning stage.
 func (l *Leader) Planner() *plan.Planner { return l.planner }
-
-// Executor exposes the I/O-bound execution stage.
-func (l *Leader) Executor() *Executor { return l.exec }
 
 // Health exposes the leader's fleet health tracker: per-node round
 // latency/error EWMAs fed by every executed round, scored for the
@@ -442,48 +438,82 @@ type Result struct {
 	TrainMins []float64
 	TrainMaxs []float64
 	TrainDims int
-	Stats     Stats
+	// RoundDeltas records, for a FedAvg request (Rounds > 1), the L2
+	// distance between consecutive global parameter vectors; a
+	// shrinking sequence indicates convergence.
+	RoundDeltas []float64
+	// GlobalParams is a FedAvg request's final global parameter vector.
+	GlobalParams ml.Params
+	Stats        Stats
+}
+
+// Request is one query for Leader.Execute.
+type Request struct {
+	Query       query.Query
+	Selector    selection.Selector
+	Aggregation Aggregation
+	// Cache, when non-nil, fronts training with the adaptive reuse
+	// pipeline: exact reuse, then (when configured) the approximate
+	// model-answer tier with its probe schedule, then training, whose
+	// result is stored back.
+	Cache *ReuseCache
+	// Rounds ≤ 1 is the paper's single round: one local training pass
+	// per participant, aggregated by Eq. 6/7. Rounds > 1 runs that many
+	// FedAvg rounds, averaging parameters with the same Eq. 6/7 weights
+	// (see rounds.go); it cannot be combined with Cache.
+	Rounds int
 }
 
 // Execute runs the full §IV-B loop for one query: select participants,
 // send the initial global model, let each participant train over its
-// supporting clusters, and build the aggregated predictor. When a
-// tracer is installed the execution emits one trace with selection,
-// per-node train and aggregation spans sharing the query's trace ID.
-func (l *Leader) Execute(q query.Query, sel selection.Selector, agg Aggregation) (*Result, error) {
-	return l.ExecuteContext(context.Background(), q, sel, agg)
-}
-
-// ExecuteContext is Execute with deadline/cancellation support: the
-// context is consulted before selection and before every training
-// round, and is handed to each participant client, so an expired query
-// aborts instead of occupying the fleet. A query whose context is
-// already done returns ctx.Err() immediately.
+// supporting clusters, and build the aggregated predictor. The kind
+// says which path answered; it is ServeFresh unless req.Cache served
+// or probed the answer.
 //
 // Internally this is the two-stage pipeline: planner.Plan (pure CPU,
-// lock-free over the registry snapshot) followed by Executor.run (the
-// I/O-bound training fan-out and aggregation).
-func (l *Leader) ExecuteContext(ctx context.Context, q query.Query, sel selection.Selector, agg Aggregation) (_ *Result, retErr error) {
+// lock-free over the registry snapshot) followed by the I/O-bound
+// training fan-out and aggregation. Participants train concurrently,
+// at most maxInFlightRounds at a time. A failed round cancels its
+// siblings and aborts the query, and the error names the failing node;
+// with Config.TolerateFailures the survivors form the ensemble and the
+// failed nodes are listed in Result.Failed. The context reaches every
+// participant client, so an expired query releases the fleet at once;
+// a query whose context is already done returns ctx.Err() before
+// selection. When a tracer is installed the execution emits one trace
+// with selection, per-node train and aggregation spans.
+func (l *Leader) Execute(ctx context.Context, req Request) (*Result, ServeKind, error) {
+	switch {
+	case req.Rounds > 1 && req.Cache != nil:
+		return nil, ServeFresh, fmt.Errorf("federation: a %d-round request cannot be served from a reuse cache", req.Rounds)
+	case req.Cache != nil:
+		return l.serveCached(ctx, req)
+	}
+	res, err := l.execute(ctx, req)
+	return res, ServeFresh, err
+}
+
+// execute plans and trains one query, bypassing any cache.
+func (l *Leader) execute(ctx context.Context, req Request) (_ *Result, retErr error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	qspan := l.startQuerySpan(q, sel)
+	qspan := l.startQuerySpan(req.Query, req.Selector)
 	defer func() { qspan.End(retErr) }()
 
-	pl, selectionTime, err := l.planWithSpan(ctx, qspan, q, sel)
+	pl, selectionTime, err := l.planWithSpan(ctx, qspan, req.Query, req.Selector)
 	if err != nil {
 		return nil, err
 	}
 	defer pl.Release()
 
-	res, err := l.exec.run(ctx, qspan, pl, agg, false)
+	res, err := l.run(ctx, qspan, pl, req.Aggregation, req.Rounds)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats.SelectionTime = selectionTime
 	res.Stats.WallTime = time.Since(start)
-	l.metrics.query(sel.Name(), selectionTime, len(res.Failed))
+	l.metrics.query(req.Selector.Name(), selectionTime, len(res.Failed))
 	return res, nil
 }
 
@@ -539,8 +569,8 @@ func (l *Leader) planWithSpan(ctx context.Context, qspan *telemetry.SpanHandle, 
 	return pl, time.Since(selStart), nil
 }
 
-// EvaluateGlobal scores a single global model (e.g. the FedAvg output
-// of ExecuteRounds) against the federation's own data restricted to
+// EvaluateGlobal scores a single global model (e.g. the GlobalParams
+// of a FedAvg request) against the federation's own data restricted to
 // bounds, without any raw data reaching the leader: every participant
 // reports its local (MSE, sample count) and the leader pools them by
 // sample weight. ok is false when no participant holds in-bounds data.
@@ -565,23 +595,6 @@ func (l *Leader) EvaluateGlobalContext(ctx context.Context, params ml.Params, bo
 		return 0, 0, nil
 	}
 	return totalSq / float64(samples), samples, nil
-}
-
-// trainOn runs one participant's training round, attributing it to the
-// given span (nil for untraced runs).
-func (l *Leader) trainOn(ctx context.Context, p selection.Participant, initial ml.Params, span *telemetry.SpanHandle) (TrainResponse, error) {
-	c, err := l.client(p.NodeID)
-	if err != nil {
-		return TrainResponse{}, err
-	}
-	return c.Train(ctx, TrainRequest{
-		Spec:        l.cfg.Spec,
-		Params:      initial,
-		Clusters:    p.Clusters,
-		LocalEpochs: l.cfg.LocalEpochs,
-		TraceID:     span.TraceID(),
-		SpanID:      span.SpanID(),
-	})
 }
 
 // EvaluateResult scores a result's ensemble against test data

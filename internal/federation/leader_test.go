@@ -82,7 +82,7 @@ func TestLeaderSummariesCached(t *testing.T) {
 func TestExecuteQueryDriven(t *testing.T) {
 	fleet := testFleet(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res, err := fleet.Execute(midQuery(t), sel, WeightedAveraging)
+	res, _, err := fleet.Leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: sel, Aggregation: WeightedAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,11 @@ func TestExecuteQueryDriven(t *testing.T) {
 func TestExecuteRandomVsQueryDrivenLoss(t *testing.T) {
 	fleet := testFleet(t)
 	q := midQuery(t)
-	qd, err := fleet.Execute(q, selection.QueryDriven{Epsilon: 0.6, TopL: 2}, WeightedAveraging)
+	qd, _, err := fleet.Leader.Execute(ctxb(), Request{
+		Query:       q,
+		Selector:    selection.QueryDriven{Epsilon: 0.6, TopL: 2},
+		Aggregation: WeightedAveraging,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +147,7 @@ func TestExecuteRandomVsQueryDrivenLoss(t *testing.T) {
 	var rndTotal float64
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		rnd, err := fleet.Execute(q, selection.Random{L: 2}, ModelAveraging)
+		rnd, _, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: selection.Random{L: 2}, Aggregation: ModelAveraging})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +165,7 @@ func TestExecuteRandomVsQueryDrivenLoss(t *testing.T) {
 
 func TestExecuteGameTheory(t *testing.T) {
 	fleet := testFleet(t)
-	res, err := fleet.Execute(midQuery(t), selection.GameTheory{L: 2}, ModelAveraging)
+	res, _, err := fleet.Leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: selection.GameTheory{L: 2}, Aggregation: ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,11 @@ func TestLeaderPreTestHomogeneous(t *testing.T) {
 func TestExecuteNoCandidates(t *testing.T) {
 	fleet := testFleet(t)
 	far, _ := query.New("q-far", geometry.MustRect([]float64{1e6, 1e6}, []float64{2e6, 2e6}))
-	if _, err := fleet.Execute(far, selection.QueryDriven{Epsilon: 0.1, TopL: 2}, ModelAveraging); err == nil {
+	if _, _, err := fleet.Leader.Execute(ctxb(), Request{
+		Query:       far,
+		Selector:    selection.QueryDriven{Epsilon: 0.1, TopL: 2},
+		Aggregation: ModelAveraging,
+	}); err == nil {
 		t.Fatal("expected no-candidates failure")
 	}
 }

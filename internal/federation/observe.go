@@ -25,7 +25,7 @@ type NodeRound struct {
 	// NodeID is the participant.
 	NodeID string
 	// Round is the communication round index (always 0 for the
-	// single-round Execute/ExecuteParallel paths).
+	// paper's single round; 0..Rounds-1 for a FedAvg request).
 	Round int
 	// Elapsed is the leader-observed wall time of the round.
 	Elapsed time.Duration

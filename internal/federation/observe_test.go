@@ -43,7 +43,7 @@ func healthyFleet(t *testing.T) *Leader {
 // participant, in execution order, with positive elapsed times.
 func TestNodeRoundsRecorded(t *testing.T) {
 	leader := healthyFleet(t)
-	res, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, _, err := leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNodeRoundsRecorded(t *testing.T) {
 // skips are not silent.
 func TestNodeRoundsShowToleratedFailure(t *testing.T) {
 	leader, _, _ := failureFleet(t, true)
-	res, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, _, err := leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestNodeRoundsShowToleratedFailure(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelNodeRounds: the concurrent path records the same
-// per-node attribution as the serial one, including failures.
+// TestExecuteParallelNodeRounds: the concurrent fan-out records one
+// NodeRound per participant, including tolerated failures.
 func TestExecuteParallelNodeRounds(t *testing.T) {
 	leader, _, _ := failureFleet(t, true)
-	res, err := leader.ExecuteParallel(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	res, _, err := leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,11 @@ func TestTracedFailureSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tr := telemetry.NewTracer(&buf)
 	leader.SetTracer(tr)
-	if _, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging); err != nil {
+	if _, _, err := leader.Execute(ctxb(), Request{
+		Query:       midQuery(t),
+		Selector:    selection.AllNodes{},
+		Aggregation: ModelAveraging,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -179,7 +183,7 @@ func TestTracedFailureSpans(t *testing.T) {
 // aborts, but the error must name the failing node.
 func TestExecuteAbortNamesNode(t *testing.T) {
 	leader, _, _ := failureFleet(t, false)
-	_, err := leader.Execute(midQuery(t), selection.AllNodes{}, ModelAveraging)
+	_, _, err := leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: selection.AllNodes{}, Aggregation: ModelAveraging})
 	if err == nil || !strings.Contains(err.Error(), "node-1") {
 		t.Fatalf("abort error = %v, want it to name node-1", err)
 	}

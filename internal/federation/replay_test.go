@@ -107,7 +107,7 @@ func TestExecutePinnedDigests(t *testing.T) {
 				f := replayFleet(t, specs[model])
 				params, preds := fnv.New64a(), fnv.New64a()
 				for _, q := range queries {
-					res, err := f.Leader.Execute(q, sels[selName], agg)
+					res, _, err := f.Leader.Execute(ctxb(), Request{Query: q, Selector: sels[selName], Aggregation: agg})
 					if err != nil {
 						t.Fatalf("%s: %s: %v", name, q.ID, err)
 					}

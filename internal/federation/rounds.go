@@ -4,157 +4,64 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"qens/internal/ml"
-	"qens/internal/query"
-	"qens/internal/selection"
+	"qens/internal/telemetry"
 )
 
 // Multi-round federated training — the classic FedAvg communication
 // loop ([6], [15], [16]) layered on top of the paper's per-query
 // selection. The paper itself performs a single round per query
-// (select, train locally, aggregate predictions); ExecuteRounds is the
-// extension where the leader re-distributes the parameter average
-// between rounds, letting local models converge toward a single global
-// model instead of an ensemble.
+// (select, train locally, aggregate predictions); a Request with
+// Rounds > 1 is the extension where the leader re-distributes the
+// parameter average between rounds, letting local models converge
+// toward a single global model instead of an ensemble.
 
-// RoundsResult extends Result with per-round convergence history.
-type RoundsResult struct {
-	Result
-	// Rounds is the number of communication rounds executed.
-	Rounds int
-	// RoundDeltas records the L2 distance between consecutive
-	// global parameter vectors; a shrinking sequence indicates
-	// convergence.
-	RoundDeltas []float64
-	// GlobalParams is the final FedAvg parameter vector.
-	GlobalParams ml.Params
-}
-
-// ExecuteRounds runs `rounds` communication rounds: participants are
-// selected once per query (selection is query-scoped, not
-// round-scoped), then each round every participant trains from the
-// current global parameters over its supporting clusters, and the
-// leader replaces the global parameters with the rank-weighted FedAvg.
-// The returned ensemble holds the single converged global model.
-func (l *Leader) ExecuteRounds(q query.Query, sel selection.Selector, rounds int) (*RoundsResult, error) {
-	return l.ExecuteRoundsContext(context.Background(), q, sel, rounds)
-}
-
-// ExecuteRoundsContext is ExecuteRounds with deadline/cancellation
-// support: the context is checked between rounds and handed to every
-// participant client.
-func (l *Leader) ExecuteRoundsContext(ctx context.Context, q query.Query, sel selection.Selector, rounds int) (_ *RoundsResult, retErr error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("federation: rounds %d < 1", rounds)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	qspan := l.startQuerySpan(q, sel)
-	defer func() { qspan.End(retErr) }()
-	pl, selectionTime, err := l.planWithSpan(ctx, qspan, q, sel)
-	if err != nil {
-		return nil, err
-	}
-	participants := pl.CopyParticipants()
-	epoch := pl.Epoch
-	samplesAllNodes := 0
-	if snap := pl.Snapshot(); snap != nil {
-		samplesAllNodes = snap.TotalSamples
-	}
-	pl.Release()
-
-	spec := l.cfg.Spec
-	spec.Seed = uint64(l.src.Int63())
-	global, err := spec.New()
-	if err != nil {
-		return nil, err
-	}
-	current := global.Params()
+// fedAvg runs `rounds` communication rounds over the query's
+// participants (selection is query-scoped, not round-scoped): each
+// round every participant trains from the current global parameters
+// over its supporting clusters, and the leader replaces them with the
+// FedAvg of the local models — weighted by rank under
+// WeightedAveraging, uniform under ModelAveraging. Any failed round
+// aborts the query, whatever Config.TolerateFailures says. The
+// Result's ensemble holds the single converged global model.
+func (l *Leader) fedAvg(ctx context.Context, qspan *telemetry.SpanHandle, res *Result, current ml.Params, rounds int) error {
 	paramBytes := int64(8 * len(current.Values))
-
-	out := &RoundsResult{Rounds: rounds}
-	out.Query = q
-	out.Epoch = epoch
-	out.Selector = sel.Name()
-	out.Aggregation = WeightedAveraging
-	out.Participants = participants
-	out.Stats.SamplesAllNodes = samplesAllNodes
-
-	weights := make([]float64, len(participants))
-	for i, p := range participants {
-		weights[i] = p.Rank
+	weights := make([]float64, len(res.Participants))
+	for i, p := range res.Participants {
+		weights[i] = 1
+		if res.Aggregation == WeightedAveraging {
+			weights[i] = p.Rank
+		}
 	}
-
 	for r := 0; r < rounds; r++ {
-		locals := make([]ml.Params, len(participants))
-		for i, p := range participants {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			c, err := l.client(p.NodeID)
-			if err != nil {
-				return nil, err
-			}
-			tspan := startTrainSpan(qspan, p.NodeID, r)
-			roundStart := time.Now()
-			resp, err := c.Train(ctx, TrainRequest{
-				Spec:        l.cfg.Spec,
-				Params:      current,
-				Clusters:    p.Clusters,
-				LocalEpochs: l.cfg.LocalEpochs,
-				TraceID:     tspan.TraceID(),
-				SpanID:      tspan.SpanID(),
-			})
-			elapsed := time.Since(roundStart)
-			recordNodeSpans(l.activeTracer(), tspan, p.NodeID, resp.Spans)
-			tspan.End(err)
-			l.metrics.round(p.NodeID, elapsed)
-			round := NodeRound{NodeID: p.NodeID, Round: r, Elapsed: elapsed}
-			if err != nil {
-				round.Err = err.Error()
-				l.health.ObserveRound(p.NodeID, elapsed, round.Err)
-				out.NodeRounds = append(out.NodeRounds, round)
-				return nil, fmt.Errorf("federation: round %d on %s: %w", r, p.NodeID, err)
-			}
-			l.health.ObserveRound(p.NodeID, elapsed, "")
-			out.NodeRounds = append(out.NodeRounds, round)
-			if resp.SummaryEpoch > 0 {
-				l.reg.SignalNodeEpoch(p.NodeID, resp.SummaryEpoch)
-			}
-			locals[i] = resp.Params
-			out.Stats.TrainTime += resp.TrainTime
-			out.Stats.SamplesUsed += resp.SamplesUsed
-			if r == 0 {
-				out.Stats.SamplesSelectedNodes += resp.TotalSamples
-			}
-			out.Stats.BytesUp += paramBytes
-			out.Stats.BytesDown += int64(8 * len(resp.Params.Values))
+		outs, err := l.fanOut(ctx, qspan, r, l.trainRequest(current), res.Participants, false)
+		if err != nil {
+			return fmt.Errorf("federation: round %d: %w", r, err)
+		}
+		locals := make([]ml.Params, len(outs))
+		for i, o := range outs {
+			res.NodeRounds = append(res.NodeRounds, NodeRound{NodeID: o.NodeID, Round: r, Elapsed: o.Elapsed})
+			res.Stats.addRound(o.Resp, paramBytes, r == 0)
+			locals[i] = o.Resp.Params
 		}
 		aggSpan := qspan.Child("aggregation")
 		next, err := FedAvgParams(locals, weights)
 		aggSpan.End(err)
 		if err != nil {
-			return nil, fmt.Errorf("federation: round %d aggregation: %w", r, err)
+			return fmt.Errorf("federation: round %d aggregation: %w", r, err)
 		}
-		out.RoundDeltas = append(out.RoundDeltas, paramDelta(current, next))
+		res.RoundDeltas = append(res.RoundDeltas, paramDelta(current, next))
 		current = next
-		out.LocalParams = locals
+		res.LocalParams = locals
 	}
-
 	ensemble, err := NewEnsemble(l.cfg.Spec, []ml.Params{current}, []float64{1}, ModelAveraging)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.Ensemble = ensemble
-	out.GlobalParams = current
-	out.Stats.SelectionTime = selectionTime
-	out.Stats.WallTime = time.Since(start)
-	l.metrics.query(sel.Name(), selectionTime, 0)
-	return out, nil
+	res.Ensemble = ensemble
+	res.GlobalParams = current
+	return nil
 }
 
 // paramDelta returns the L2 distance between two parameter vectors
@@ -165,49 +72,5 @@ func paramDelta(a, b ml.Params) float64 {
 		d := a.Values[i] - b.Values[i]
 		s += d * d
 	}
-	return sqrt(s)
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
-}
-
-// ExecuteParallel is Execute with the training fan-out running
-// concurrently across participants — the deployment-realistic mode for
-// TCP clients, where each node trains on its own hardware. Results are
-// identical to Execute modulo the nodes' own RNG interleaving,
-// including the failure contract: a failed round aborts the query
-// unless Config.TolerateFailures is set, in which case it is recorded
-// in Result.Failed/NodeRounds and the survivors form the ensemble.
-func (l *Leader) ExecuteParallel(q query.Query, sel selection.Selector, agg Aggregation) (*Result, error) {
-	return l.ExecuteParallelContext(context.Background(), q, sel, agg)
-}
-
-// ExecuteParallelContext is ExecuteParallel with deadline/cancellation
-// support: the per-query context fans out to every concurrent training
-// round, so one expired deadline releases the whole fleet at once.
-func (l *Leader) ExecuteParallelContext(ctx context.Context, q query.Query, sel selection.Selector, agg Aggregation) (_ *Result, retErr error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	qspan := l.startQuerySpan(q, sel)
-	defer func() { qspan.End(retErr) }()
-	pl, selectionTime, err := l.planWithSpan(ctx, qspan, q, sel)
-	if err != nil {
-		return nil, err
-	}
-	defer pl.Release()
-
-	res, err := l.exec.run(ctx, qspan, pl, agg, true)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.SelectionTime = selectionTime
-	res.Stats.WallTime = time.Since(start)
-	l.metrics.query(sel.Name(), selectionTime, len(res.Failed))
-	return res, nil
+	return math.Sqrt(s)
 }

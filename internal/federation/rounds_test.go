@@ -14,12 +14,12 @@ func TestExecuteRounds(t *testing.T) {
 	fleet := testFleet(t)
 	q := midQuery(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res, err := fleet.Leader.ExecuteRounds(q, sel, 3)
+	res, _, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 3 || len(res.RoundDeltas) != 3 {
-		t.Fatalf("rounds %d deltas %d", res.Rounds, len(res.RoundDeltas))
+	if len(res.RoundDeltas) != 3 {
+		t.Fatalf("%d round deltas, want 3", len(res.RoundDeltas))
 	}
 	// The converged single global model must predict the line.
 	if res.Ensemble.Size() != 1 {
@@ -41,9 +41,24 @@ func TestExecuteRounds(t *testing.T) {
 
 func TestExecuteRoundsValidation(t *testing.T) {
 	fleet := testFleet(t)
+	cache, err := NewReuseCache(0.9, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	if _, err := fleet.Leader.ExecuteRounds(midQuery(t), sel, 0); err == nil {
-		t.Fatal("accepted 0 rounds")
+	if _, _, err := fleet.Leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: sel, Cache: cache, Rounds: 2}); err == nil {
+		t.Fatal("accepted a multi-round request with a reuse cache")
+	}
+	// Rounds 0 and 1 are both the paper's single round: an ensemble of
+	// local models, no FedAvg history.
+	for _, rounds := range []int{0, 1} {
+		res, _, err := fleet.Leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: sel, Aggregation: WeightedAveraging, Rounds: rounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ensemble.Size() != len(res.LocalParams) || res.RoundDeltas != nil || res.GlobalParams.Values != nil {
+			t.Fatalf("rounds=%d: ensemble of %d, %d deltas", rounds, res.Ensemble.Size(), len(res.RoundDeltas))
+		}
 	}
 }
 
@@ -51,54 +66,24 @@ func TestExecuteRoundsImprovesOverOneRound(t *testing.T) {
 	fleet := testFleet(t)
 	q := midQuery(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	one, err := fleet.Leader.ExecuteRounds(q, sel, 1)
+	one, _, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	five, err := fleet.Leader.ExecuteRounds(q, sel, 5)
+	five, _, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Rounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mse1, _, ok1 := EvaluateResult(&one.Result, fleet.Test)
-	mse5, _, ok5 := EvaluateResult(&five.Result, fleet.Test)
+	mse1, _, ok1 := EvaluateResult(one, fleet.Test)
+	mse5, _, ok5 := EvaluateResult(five, fleet.Test)
 	if !ok1 || !ok5 {
 		t.Fatal("no test data in query")
 	}
-	// Five rounds must not be dramatically worse than one (usually
-	// better); a 2x regression indicates a broken aggregation loop.
+	// Five FedAvg rounds must not be dramatically worse than the
+	// single-round ensemble (usually better); a 2x regression indicates
+	// a broken aggregation loop.
 	if mse5 > mse1*2 {
 		t.Fatalf("5 rounds (%v) much worse than 1 (%v)", mse5, mse1)
-	}
-}
-
-func TestExecuteParallelMatchesSequentialSelection(t *testing.T) {
-	fleet := testFleet(t)
-	q := midQuery(t)
-	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res, err := fleet.Leader.ExecuteParallel(q, sel, WeightedAveraging)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Participants) == 0 || res.Ensemble == nil {
-		t.Fatal("parallel execute incomplete")
-	}
-	for _, p := range res.Participants {
-		if p.NodeID == "node-3" {
-			t.Fatal("parallel execute selected the adversarial node")
-		}
-	}
-	if res.Stats.SamplesUsed == 0 || res.Stats.TrainTime <= 0 {
-		t.Fatalf("stats missing: %+v", res.Stats)
-	}
-	// Quality parity with the sequential path.
-	seq, err := fleet.Execute(q, sel, WeightedAveraging)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mseP, _, _ := EvaluateResult(res, fleet.Test)
-	mseS, _, _ := EvaluateResult(seq, fleet.Test)
-	if mseP > mseS*3 && mseP > mseS+20 {
-		t.Fatalf("parallel quality %v far from sequential %v", mseP, mseS)
 	}
 }
 
@@ -107,8 +92,8 @@ func TestExecuteParallelErrorPropagates(t *testing.T) {
 	// A selector that demands a nonexistent cluster index triggers a
 	// node-side training error, which must surface.
 	bad := badClusterSelector{}
-	if _, err := fleet.Leader.ExecuteParallel(midQuery(t), bad, ModelAveraging); err == nil {
-		t.Fatal("parallel execute swallowed a node error")
+	if _, _, err := fleet.Leader.Execute(ctxb(), Request{Query: midQuery(t), Selector: bad, Aggregation: ModelAveraging}); err == nil {
+		t.Fatal("execute swallowed a node error")
 	}
 }
 
@@ -125,7 +110,7 @@ func TestEvaluateGlobal(t *testing.T) {
 	fleet := testFleet(t)
 	q := midQuery(t)
 	sel := selection.QueryDriven{Epsilon: 0.6, TopL: 2}
-	res, err := fleet.Leader.ExecuteRounds(q, sel, 2)
+	res, _, err := fleet.Leader.Execute(ctxb(), Request{Query: q, Selector: sel, Aggregation: WeightedAveraging, Rounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,25 +2,10 @@ package federation
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"qens/internal/ml"
 	"qens/internal/selection"
 )
-
-// RoundOutcome is one participant's outcome from TrainRound: the raw
-// training response plus the leader-observed wall time and failure
-// reason ("" on success).
-type RoundOutcome struct {
-	NodeID  string
-	Resp    TrainResponse
-	Elapsed time.Duration
-	Err     string
-}
-
-// Failed reports whether the round failed.
-func (o RoundOutcome) Failed() bool { return o.Err != "" }
 
 // TrainRound drives one training round for an explicit participant
 // list with a caller-supplied spec (seed already drawn) and initial
@@ -30,55 +15,20 @@ func (o RoundOutcome) Failed() bool { return o.Err != "" }
 // selection happens here, no ensemble is built, and failures are
 // reported per participant instead of aborting the round.
 //
-// Rounds run concurrently across participants. Per-round health EWMAs,
-// the qens_leader_train_round_ms metrics and registry drift signalling
-// (a node echoing a newer advertisement epoch invalidates this
-// leader's snapshot) all fire exactly as they do on the Execute path.
-// traceID/spanID, when non-empty, propagate to the nodes so their
-// phase spans come back in each outcome for cross-process re-parenting
-// at the root.
+// It trains through the same fan-out as Execute, with every round run
+// to completion, so per-round health EWMAs, the
+// qens_leader_train_round_ms metrics and registry drift signalling (a
+// node echoing a newer advertisement epoch invalidates this leader's
+// snapshot) all fire exactly as they do there. traceID/spanID, when
+// non-empty, propagate to the nodes so their phase spans come back in
+// each outcome for cross-process re-parenting at the root.
 func (l *Leader) TrainRound(ctx context.Context, spec ml.Spec, initial ml.Params, participants []selection.Participant, localEpochs int, traceID, spanID string) []RoundOutcome {
 	if localEpochs < 1 {
 		localEpochs = l.cfg.LocalEpochs
 	}
-	outs := make([]RoundOutcome, len(participants))
-	var wg sync.WaitGroup
-	for i, p := range participants {
-		wg.Add(1)
-		go func(i int, p participantRef) {
-			defer wg.Done()
-			outs[i].NodeID = p.NodeID
-			roundStart := time.Now()
-			c, err := l.client(p.NodeID)
-			if err != nil {
-				outs[i].Elapsed = time.Since(roundStart)
-				outs[i].Err = err.Error()
-				return
-			}
-			resp, err := c.Train(ctx, TrainRequest{
-				Spec:        spec,
-				Params:      initial,
-				Clusters:    p.Clusters,
-				LocalEpochs: localEpochs,
-				TraceID:     traceID,
-				SpanID:      spanID,
-			})
-			outs[i].Elapsed = time.Since(roundStart)
-			if err != nil {
-				outs[i].Err = err.Error()
-			} else {
-				outs[i].Resp = resp
-			}
-		}(i, participantRef{NodeID: p.NodeID, Clusters: p.Clusters})
-	}
-	wg.Wait()
-	for i := range outs {
-		o := &outs[i]
-		l.metrics.round(o.NodeID, o.Elapsed)
-		l.health.ObserveRound(o.NodeID, o.Elapsed, o.Err)
-		if o.Err == "" {
-			l.signalEpoch(o.NodeID, o.Resp.SummaryEpoch)
-		}
-	}
+	req := TrainRequest{Spec: spec, Params: initial, LocalEpochs: localEpochs, TraceID: traceID, SpanID: spanID}
+	// With tolerate the only error is the caller's context ending, and
+	// every failed outcome already carries its own.
+	outs, _ := l.fanOut(ctx, nil, 0, req, participants, true)
 	return outs
 }

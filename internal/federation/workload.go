@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -57,7 +58,7 @@ func RunWorkload(l *Leader, queries []query.Query, sel selection.Selector, agg A
 	sumMSE, sumFrac := 0.0, 0.0
 	for _, q := range queries {
 		outcome := WorkloadOutcome{Query: q}
-		res, err := l.Execute(q, sel, agg)
+		res, _, err := l.Execute(context.Background(), Request{Query: q, Selector: sel, Aggregation: agg})
 		if err != nil {
 			outcome.Err = err
 			report.Outcomes = append(report.Outcomes, outcome)

@@ -637,7 +637,7 @@ func (s *Server) trackRecord(id string, includeParams bool, banditArm int, tk *T
 		})
 		return
 	}
-	if banditArm >= 0 && s.cfg.Bandit != nil && !out.Reused && !out.Coalesced {
+	if banditArm >= 0 && s.cfg.Bandit != nil && !out.Kind.Reused() && !out.Coalesced {
 		// Only fresh executions carry a signal about the arm's config —
 		// cache hits and coalesced waits trained nothing.
 		s.cfg.Bandit.Observe(banditArm, banditReward(out))
@@ -666,7 +666,7 @@ func (s *Server) answerFromCache(id string, q query.Query) (*queryResponse, bool
 	if !ok {
 		return nil, false
 	}
-	resp := buildResponse(id, &Outcome{Result: res, Reused: true, Kind: kind}, false)
+	resp := buildResponse(id, &Outcome{Result: res, Kind: kind}, false)
 	return &resp, true
 }
 
@@ -702,7 +702,7 @@ func buildResponse(id string, out *Outcome, includeParams bool) queryResponse {
 		ID:          id,
 		Selector:    res.Selector,
 		Aggregation: res.Aggregation.String(),
-		Reused:      out.Reused,
+		Reused:      out.Kind.Reused(),
 		Approx:      out.Kind == federation.ServeApprox,
 		Coalesced:   out.Coalesced,
 		QueueWaitMS: float64(out.QueueWait) / float64(time.Millisecond),

@@ -51,13 +51,13 @@ func TestRouterApproxTierServes(t *testing.T) {
 	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 2}
 
 	wide := mustQuery(t, "q-wide", 0, 34, -500, 500)
-	if _, kind, err := router.ExecuteQueryKind(ctx, wide, sel, federation.ModelAveraging); err != nil || kind != federation.ServeFresh {
+	if _, kind, err := router.ExecuteQuery(ctx, wide, sel, federation.ModelAveraging); err != nil || kind != federation.ServeFresh {
 		t.Fatalf("first execution: kind=%v err=%v", kind, err)
 	}
 	// Contained query: IoU (area ratio) is well under 0.95 but the wide
 	// entry covers it completely.
 	inner := mustQuery(t, "q-inner", 5, 30, -400, 400)
-	res, kind, err := router.ExecuteQueryKind(ctx, inner, sel, federation.ModelAveraging)
+	res, kind, err := router.ExecuteQuery(ctx, inner, sel, federation.ModelAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,10 @@ func TestRouterApproxTierServes(t *testing.T) {
 		t.Fatalf("reuse stats %+v: want 1 approx hit at 50%%", st.Reuse)
 	}
 
-	// The two-value ExecuteQuery keeps reporting approx serves as
-	// reused — existing callers see no new states.
+	// An approx serve counts as reused: it trained nothing.
 	inner2 := mustQuery(t, "q-inner-2", 6, 29, -400, 400)
-	if _, reused, err := router.ExecuteQuery(ctx, inner2, sel, federation.ModelAveraging); err != nil || !reused {
-		t.Fatalf("legacy surface: reused=%v err=%v", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, inner2, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+		t.Fatalf("approx serve: kind=%v err=%v", kind, err)
 	}
 }
 
@@ -133,7 +132,7 @@ func TestRouterApproxDisabledGoldenReplay(t *testing.T) {
 		q := mustQuery(t, fmt.Sprintf("r-%d", i), lo, hi, -500, 500)
 
 		want := refLookup(q)
-		res, kind, err := router.ExecuteQueryKind(ctx, q, sel, federation.ModelAveraging)
+		res, kind, err := router.ExecuteQuery(ctx, q, sel, federation.ModelAveraging)
 		if err != nil {
 			t.Fatalf("q%d: %v", i, err)
 		}

@@ -67,7 +67,7 @@ func benchConfig() federation.Config {
 }
 
 // benchSingle wires the fleet under one leader (the gateway's
-// LeaderExecutor path: plan, then one sequential round per
+// LeaderExecutor path: plan, then one concurrent round per
 // participant).
 func benchSingle(b *testing.B, samples int) *federation.Leader {
 	b.Helper()
@@ -125,7 +125,7 @@ func benchSharded(b *testing.B, samples, regions int) *Router {
 
 // BenchmarkShardServe compares the two gateway serving paths over the
 // same 8-node fleet and workload: a single leader executing queries
-// through the plan-then-sequential-round pipeline (what
+// through its plan-then-concurrent-round pipeline (what
 // gateway.LeaderExecutor runs) versus the root coordinator fanning
 // the same queries out to regional leaders that each train their
 // shard concurrently (Router.ExecuteQuery). The workload mixes
@@ -135,8 +135,9 @@ func benchSharded(b *testing.B, samples, regions int) *Router {
 // so the numbers reflect coordination overlap rather than the
 // benchmark host's core count.
 //
-// scripts/bench_shard.sh gates on the ratio: the 2-region topology
-// must serve at least 1.6x the single-leader throughput.
+// scripts/bench_shard.sh records both rows; at this fleet size the two
+// topologies serve at about the same rate, so it reports the ratio
+// without gating on it.
 func BenchmarkShardServe(b *testing.B) {
 	const samples = 400
 	sel := selection.QueryDriven{Epsilon: 1e-9, TopL: 8}
@@ -152,7 +153,11 @@ func BenchmarkShardServe(b *testing.B) {
 		lead := benchSingle(b, samples)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := lead.ExecuteContext(ctx, queries[i%len(queries)], sel, federation.WeightedAveraging); err != nil {
+			if _, _, err := lead.Execute(ctx, federation.Request{
+				Query:       queries[i%len(queries)],
+				Selector:    sel,
+				Aggregation: federation.WeightedAveraging,
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -37,17 +37,17 @@ func TestReuseFencedPerRegion(t *testing.T) {
 	qLeft := mustQuery(t, "q-left", 1, 20, -500, 75)
 	qRight := mustQuery(t, "q-right", 41, 60, 85, 130)
 
-	if _, reused, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || reused {
-		t.Fatalf("qLeft first: reused=%v err=%v", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || kind.Reused() {
+		t.Fatalf("qLeft first: kind=%v err=%v", kind, err)
 	}
-	if _, reused, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !reused {
-		t.Fatalf("qLeft second: reused=%v err=%v", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+		t.Fatalf("qLeft second: kind=%v err=%v", kind, err)
 	}
-	if _, reused, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || reused {
-		t.Fatalf("qRight first: reused=%v err=%v", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || kind.Reused() {
+		t.Fatalf("qRight first: kind=%v err=%v", kind, err)
 	}
-	if _, reused, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || !reused {
-		t.Fatalf("qRight second: reused=%v err=%v", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+		t.Fatalf("qRight second: kind=%v err=%v", kind, err)
 	}
 
 	// Drift inside region-1: node-5 requantizes. The root only learns
@@ -57,22 +57,22 @@ func TestReuseFencedPerRegion(t *testing.T) {
 	if err := nodes[5].Requantize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, reused, err := router.ExecuteQuery(ctx, mustQuery(t, "q-all", -10, 80, -30, 160),
-		selection.Random{L: 6}, federation.ModelAveraging); err != nil || reused {
-		t.Fatalf("drift round: reused=%v err=%v", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, mustQuery(t, "q-all", -10, 80, -30, 160),
+		selection.Random{L: 6}, federation.ModelAveraging); err != nil || kind.Reused() {
+		t.Fatalf("drift round: kind=%v err=%v", kind, err)
 	}
 
 	// Region-1's basis moved: qRight must re-execute. Region-0 was
 	// untouched: qLeft keeps serving from cache.
-	if _, reused, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !reused {
-		t.Fatalf("qLeft after drift: reused=%v err=%v (fenced too broadly)", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, qLeft, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+		t.Fatalf("qLeft after drift: kind=%v err=%v (fenced too broadly)", kind, err)
 	}
-	if _, reused, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || reused {
-		t.Fatalf("qRight after drift: reused=%v err=%v (stale entry survived the fence)", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || kind.Reused() {
+		t.Fatalf("qRight after drift: kind=%v err=%v (stale entry survived the fence)", kind, err)
 	}
 	// And the re-executed entry is valid again at the new epoch.
-	if _, reused, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || !reused {
-		t.Fatalf("qRight re-cache: reused=%v err=%v", reused, err)
+	if _, kind, err := router.ExecuteQuery(ctx, qRight, sel, federation.ModelAveraging); err != nil || !kind.Reused() {
+		t.Fatalf("qRight re-cache: kind=%v err=%v", kind, err)
 	}
 
 	st, err := router.Stats(ctx)

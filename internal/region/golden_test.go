@@ -105,8 +105,8 @@ func TestGoldenShardedMatchesSingleLeader(t *testing.T) {
 			ctx := context.Background()
 			executed, misses := 0, 0
 			for _, q := range queries {
-				want, wantErr := single.ExecuteContext(ctx, q, tc.sel, tc.agg)
-				got, reused, gotErr := router.ExecuteQuery(ctx, q, tc.sel, tc.agg)
+				want, _, wantErr := single.Execute(ctx, federation.Request{Query: q, Selector: tc.sel, Aggregation: tc.agg})
+				got, kind, gotErr := router.ExecuteQuery(ctx, q, tc.sel, tc.agg)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("%s: single-leader err %v vs sharded err %v", q.ID, wantErr, gotErr)
 				}
@@ -117,7 +117,7 @@ func TestGoldenShardedMatchesSingleLeader(t *testing.T) {
 					misses++
 					continue
 				}
-				if reused {
+				if kind.Reused() {
 					t.Fatalf("%s: unexpected reuse with cache disabled", q.ID)
 				}
 				executed++

@@ -159,8 +159,10 @@ func (l *Leader) Train(ctx context.Context, req TrainRequest) (TrainResponse, er
 		Epoch:    l.fed.Registry().ReuseEpoch(),
 	}
 	for _, o := range outs {
-		rr := RoundResult{NodeID: o.NodeID, ElapsedNS: int64(o.Elapsed), Err: o.Err}
-		if o.Err == "" {
+		rr := RoundResult{NodeID: o.NodeID, ElapsedNS: int64(o.Elapsed)}
+		if o.Err != nil {
+			rr.Err = o.Err.Error()
+		} else {
 			rr.Params = o.Resp.Params
 			rr.SamplesUsed = o.Resp.SamplesUsed
 			rr.TotalSamples = o.Resp.TotalSamples

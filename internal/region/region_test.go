@@ -259,12 +259,12 @@ func TestLeaderTrainValidation(t *testing.T) {
 func TestRouterRoutesQueryDrivenToOverlappingRegion(t *testing.T) {
 	router, _, _ := shardedFixture(t, 2, Config{})
 	ctx := context.Background()
-	res, reused, err := router.ExecuteQuery(ctx, mustQuery(t, "q-left", 1, 20, -500, 75),
+	res, kind, err := router.ExecuteQuery(ctx, mustQuery(t, "q-left", 1, 20, -500, 75),
 		selection.QueryDriven{Epsilon: 1e-9, TopL: 2}, federation.ModelAveraging)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
+	if kind.Reused() {
 		t.Fatal("first execution reported reuse")
 	}
 	if len(res.Participants) != 2 || res.Ensemble == nil {

@@ -569,17 +569,9 @@ func selectErr(sel selection.Selector, q query.Query, err error) error {
 
 // ExecuteQuery implements the gateway Executor seam: plan across the
 // routed regions, select globally, train across the shards, aggregate.
-// reused reports a root-side reuse-cache hit.
-func (r *Router) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, bool, error) {
-	res, kind, err := r.ExecuteQueryKind(ctx, q, sel, agg)
-	return res, kind.Reused(), err
-}
-
-// ExecuteQueryKind is ExecuteQuery with the serving tier surfaced:
-// exact root-cache hit, approximate coverage-based serve, or a fresh
-// regional fan-out. The gateway's scheduler uses it to label responses
-// and stats.
-func (r *Router) ExecuteQueryKind(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
+// The kind says which serving tier answered: exact root-cache hit,
+// approximate coverage-based serve, or a fresh regional fan-out.
+func (r *Router) ExecuteQuery(ctx context.Context, q query.Query, sel selection.Selector, agg federation.Aggregation) (*federation.Result, federation.ServeKind, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, federation.ServeFresh, err
 	}

@@ -159,18 +159,18 @@ func (m *serverMetrics) observeRPC(reqType string, elapsed time.Duration, errore
 }
 
 // addBytes tallies per-connection wire bytes under the connection's
-// negotiated codec (nil-safe).
+// negotiated codec (nil-safe). A negative count takes bytes back.
 func (m *serverMetrics) addBytes(proto int, in, out int64) {
 	if m == nil {
 		return
 	}
-	if in > 0 {
+	if in != 0 {
 		m.bytesIn.Add(in)
 		if c, ok := m.wireBytesIn[proto]; ok {
 			c.Add(in)
 		}
 	}
-	if out > 0 {
+	if out != 0 {
 		m.bytesOut.Add(out)
 		if c, ok := m.wireBytesOut[proto]; ok {
 			c.Add(out)
@@ -393,6 +393,9 @@ func (s *Server) runPusher(p *pusher) {
 		}
 		lastEpoch = sum.Epoch
 		id := s.pushID.Add(1)
+		// Count before the write: a subscriber that has applied this
+		// push must already see it in PushesSent.
+		s.pushSent.Add(1)
 		p.writeMu.Lock()
 		// Deadline-bound write: a subscriber that stopped reading must
 		// error this pusher out, not hold writeMu (and with it every RPC
@@ -401,12 +404,11 @@ func (s *Server) runPusher(p *pusher) {
 		_, err := writeWirePush(p.cc, id, &sum)
 		_ = p.cc.SetWriteDeadline(time.Time{})
 		p.writeMu.Unlock()
-		s.metrics.addBytes(WireProtoV2, p.cc.takeRead(), p.cc.takeWritten())
 		if err != nil {
+			s.pushSent.Add(-1)
 			s.logkv("event", "push_write_error", "err", err)
 			return
 		}
-		s.pushSent.Add(1)
 	}
 }
 
@@ -605,11 +607,10 @@ func (s *Server) acceptLoop() {
 // (length-prefixed JSON, strict request/response) and upgrades to the
 // v2 binary multiplexed codec when a ping handshake negotiates it.
 func (s *Server) handleConn(conn net.Conn) {
-	cc := &countingConn{Conn: conn}
+	cc := newCountingConn(conn, s.metrics)
 	for {
 		var req request
 		if err := readFrame(cc, &req); err != nil {
-			s.metrics.addBytes(WireProtoV1, cc.takeRead(), cc.takeWritten())
 			return // EOF or a broken peer; either way, drop the conn
 		}
 		upgrade := req.Type == typePing && req.WireProto >= WireProtoV2 && s.maxProto >= WireProtoV2
@@ -624,17 +625,22 @@ func (s *Server) handleConn(conn net.Conn) {
 				resp.SummaryPush = true
 			}
 		}
+		upgraded := upgrade && resp.Error == ""
+		if upgraded {
+			// Record the upgrade before the reply publishes it: a peer
+			// that has read the reply must already see the v2 conn.
+			s.setConnProto(conn, WireProtoV2)
+		}
 		start := time.Now()
 		err := writeFrame(cc, resp)
 		s.metrics.observeEncode(WireProtoV1, time.Since(start))
 		s.active.Add(-1)
-		s.metrics.addBytes(WireProtoV1, cc.takeRead(), cc.takeWritten())
 		if err != nil {
 			s.logkv("event", "write_error", "type", req.Type, "trace", req.TraceID, "err", err)
 			return
 		}
-		if upgrade && resp.Error == "" {
-			s.setConnProto(conn, WireProtoV2)
+		if upgraded {
+			cc.proto.Store(WireProtoV2)
 			s.logkv("event", "wire_upgrade", "proto", WireProtoV2)
 			s.serveV2(cc)
 			return
@@ -663,7 +669,6 @@ func (s *Server) serveV2(cc *countingConn) {
 	for {
 		buf, err := readFrameBody(cc)
 		if err != nil {
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
 			return
 		}
 		var req request
@@ -671,7 +676,6 @@ func (s *Server) serveV2(cc *countingConn) {
 		putFrameBuf(buf)
 		if err != nil {
 			s.logkv("event", "decode_error", "proto", 2, "err", err)
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
 			return
 		}
 		if req.Type == typeSubscribe {
@@ -698,7 +702,6 @@ func (s *Server) serveV2(cc *countingConn) {
 				writeMu.Unlock()
 			}
 			putFrameBuf(buf)
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
 			if err != nil {
 				s.logkv("event", "write_error", "type", req.Type, "err", err)
 				return
@@ -722,7 +725,6 @@ func (s *Server) serveV2(cc *countingConn) {
 			}
 			putFrameBuf(buf)
 			s.active.Add(-1)
-			s.metrics.addBytes(WireProtoV2, cc.takeRead(), cc.takeWritten())
 			if err != nil {
 				s.logkv("event", "write_error", "type", req.Type, "trace", req.TraceID, "err", err)
 			}
@@ -908,26 +910,36 @@ func (s *Server) handleRegion(ctx context.Context, req request) response {
 	}
 }
 
-// countingConn tallies bytes crossing a net.Conn with atomics (v2
-// request handlers write concurrently); take* drains the tallies so
-// callers can feed deltas into counters.
+// countingConn tallies the bytes crossing a server connection into the
+// server metrics, under the codec the connection currently speaks. A
+// write is tallied before it reaches the wire, and a short write takes
+// back what was not sent, so a peer that has read a response never
+// sees a byte counter that does not include it yet. Safe for the
+// concurrent writers of a v2 connection.
 type countingConn struct {
 	net.Conn
-	written atomic.Int64
-	read    atomic.Int64
+	m     *serverMetrics
+	proto atomic.Int32
+}
+
+func newCountingConn(conn net.Conn, m *serverMetrics) *countingConn {
+	cc := &countingConn{Conn: conn, m: m}
+	cc.proto.Store(WireProtoV1)
+	return cc
 }
 
 func (cc *countingConn) Write(p []byte) (int, error) {
+	proto := int(cc.proto.Load())
+	cc.m.addBytes(proto, 0, int64(len(p)))
 	n, err := cc.Conn.Write(p)
-	cc.written.Add(int64(n))
+	if n < len(p) {
+		cc.m.addBytes(proto, 0, int64(n-len(p)))
+	}
 	return n, err
 }
 
 func (cc *countingConn) Read(p []byte) (int, error) {
 	n, err := cc.Conn.Read(p)
-	cc.read.Add(int64(n))
+	cc.m.addBytes(int(cc.proto.Load()), int64(n), 0)
 	return n, err
 }
-
-func (cc *countingConn) takeRead() int64    { return cc.read.Swap(0) }
-func (cc *countingConn) takeWritten() int64 { return cc.written.Swap(0) }
